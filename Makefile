@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race diff bench bench-json bench-smoke bench-matrix profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
+.PHONY: all build vet lint test test-short race diff bench bench-json bench-smoke profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
 
 all: build vet lint test race
 
@@ -36,15 +36,15 @@ race:
 	$(GO) test -race ./internal/tlsrt/ ./internal/jobs/ ./internal/store/ ./internal/fault/ ./internal/resilience/ ./internal/parallel/ ./internal/scenario/ ./internal/cluster/
 	$(GO) test -race -run 'TestConcurrentSimulate|TestPrewarmMatchesSequential|TestConcurrentBuildsShareNoPooledObjects' .
 
-# Differential determinism suites under the race detector: the parallel
-# pipeline must produce byte-identical artifacts at every -j (compiler
-# internals, sharded sequential baseline, benchmark-level fingerprints,
-# golden files) and at every point of the GOMAXPROCS {1,8} x -j {1,8}
-# cross-product (TestParallelDiffMatrix — scheduler-dimension
-# invariance on top of worker-count invariance).
+# Differential determinism suites under the race detector: two compiles
+# of one program running at once must produce byte-identical artifacts
+# (compiler internals over shared pools), and so must the job engine at
+# every -j (benchmark-level fingerprints, figures, golden files) and at
+# every point of the GOMAXPROCS {1,8} x engine -j {1,8} cross-product
+# (TestParallelDiffMatrix — scheduler-dimension invariance on top of
+# worker-count invariance).
 diff:
-	$(GO) test -race -short -run 'TestParallelDiff|TestWorkersExcluded' ./internal/core/
-	$(GO) test -race -run 'TestSeqShard' ./internal/sim/
+	$(GO) test -race -short -run 'TestParallelDiff' ./internal/core/
 	$(GO) test -race -short -run 'TestParallelDiff|TestGolden' .
 
 # Long fuzz-verify run: compile 200 generated programs and statically
@@ -122,15 +122,6 @@ bench-json:
 # more than 10% slower than -j1 (a parallelism regression).
 bench-smoke:
 	$(MAKE) bench-json BENCH_SHORT=-short BENCH_SMOKE=1
-
-# Multi-core bench matrix: time one benchmark's build at every point of
-# GOMAXPROCS {1,4,8} x -j {1,4,8} and write BENCH_matrix.json
-# (machine-readable, archived by CI). With BENCH_SMOKE=1 the run fails
-# if -j4 at GOMAXPROCS=4 is >10% slower than -j1 — the canary for
-# parallel-build overhead creeping back. BENCH_SHORT=-short drops to a
-# single repetition per point.
-bench-matrix:
-	BENCH_MATRIX=1 BENCH_SMOKE=$(BENCH_SMOKE) $(GO) test -run '^TestBenchMatrix$$' $(BENCH_SHORT) -timeout 30m -v .
 
 # CPU and heap profiles of the two hot paths (compiler pipeline on the
 # largest workload, raw simulator throughput). Inspect with

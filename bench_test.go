@@ -12,11 +12,13 @@ package tlssync
 // set via: go test -bench=Fig -args -printfigs
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sync"
 	"testing"
 
+	"tlssync/internal/jobs"
 	"tlssync/internal/sim"
 )
 
@@ -32,7 +34,9 @@ var (
 
 func prepared(b *testing.B) []*Run {
 	b.Helper()
-	runsOnce.Do(func() { runs, runsErr = PrepareAll() })
+	runsOnce.Do(func() {
+		runs, runsErr = PrepareWorkloads(context.Background(), jobs.New(0), Benchmarks(), nil)
+	})
 	if runsErr != nil {
 		b.Fatal(runsErr)
 	}

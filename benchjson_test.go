@@ -16,9 +16,9 @@ import (
 
 // TestBenchJSON is the bench-regression harness behind `make bench-json`:
 // it times the tlsbench-shaped pipeline (prepare every benchmark through
-// the job engine, then prewarm Figure 10) at -j1 and -j4, plus a single
-// benchmark's intra-build parallelism (-buildj), and writes the results
-// to BENCH_pipeline.json for CI to archive and compare across commits.
+// the job engine, then prewarm Figure 10) at -j1 and -j4, plus per-stage
+// costs on one benchmark, and writes the results to BENCH_pipeline.json
+// for CI to archive and compare across commits.
 //
 // It is opt-in (set BENCH_JSON=1) because it deliberately saturates the
 // machine; with BENCH_SMOKE=1 it additionally fails when the -j4
@@ -65,13 +65,12 @@ func TestBenchJSON(t *testing.T) {
 
 	record("pipeline/j1", func(b *testing.B) { benchPipeline(b, names, 1) }, "")
 	j4 := record("pipeline/j4", func(b *testing.B) { benchPipeline(b, names, 4) }, "pipeline/j1")
-	record("build/j1", func(b *testing.B) { benchBuild(b, names[0], 1) }, "")
-	record("build/j4", func(b *testing.B) { benchBuild(b, names[0], 4) }, "build/j1")
 
 	// Per-stage allocation metrics (bytes/op, allocs/op) so a regression
 	// can be attributed to the stage that caused it; the budgets these
-	// trend against live in allocbudget_test.go and docs/perf.md.
-	record("stage/compile", func(b *testing.B) { benchStageCompile(b, names[0]) }, "")
+	// trend against live in internal/{trace/alloc,sim/pool,ir/arena,
+	// interp/mempool}_test.go and docs/perf.md.
+	record("stage/compile", func(b *testing.B) { benchBuild(b, names[0]) }, "")
 	record("stage/clone", func(b *testing.B) { benchStageClone(b, names[0]) }, "")
 	record("stage/trace", func(b *testing.B) { benchStageTrace(b, names[0]) }, "")
 	record("stage/profile", func(b *testing.B) { benchStageProfile(b, names[0]) }, "")
@@ -126,7 +125,7 @@ func benchPipeline(b *testing.B, names []string, workers int) {
 				if err != nil {
 					return nil, err
 				}
-				return NewRunWithWorkers(w, 1)
+				return NewRun(w)
 			}, func(val any, err error) {
 				if err == nil {
 					runs[j] = val.(*Run)
@@ -142,13 +141,9 @@ func benchPipeline(b *testing.B, names []string, workers int) {
 	}
 }
 
-// benchBuild times a single benchmark's compile at a given intra-build
-// worker count (the tlsc/tlsd -j / -buildj knob). It times Compile
-// rather than NewRunWithWorkers because Compile performs identical work
-// at every worker count, whereas NewRunWithWorkers at -j>1 eagerly
-// builds traces that -j1 defers to first use — timing that would
-// compare different amounts of work.
-func benchBuild(b *testing.B, name string, buildWorkers int) {
+// benchBuild times a single benchmark's compile: front end, selection
+// and transformation (everything inside core.Compile).
+func benchBuild(b *testing.B, name string) {
 	b.ReportAllocs()
 	w, err := Benchmark(name)
 	if err != nil {
@@ -156,7 +151,6 @@ func benchBuild(b *testing.B, name string, buildWorkers int) {
 	}
 	cfg := Config{
 		Source: w.Source, TrainInput: w.Train, RefInput: w.Ref, Seed: 42,
-		Workers: buildWorkers,
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(cfg); err != nil {
@@ -186,12 +180,8 @@ func stageBuild(b *testing.B, name string) (*Build, *Workload) {
 	return build, w
 }
 
-// benchStageCompile times front-end + selection + transformation
-// (everything inside core.Compile at -j1).
-func benchStageCompile(b *testing.B, name string) { benchBuild(b, name, 1) }
-
 // benchStageClone times the arena-backed Program.DeepCopy/Recycle
-// cycle — the per-variant clone every parallel build performs.
+// cycle — the per-variant clone every build performs.
 func benchStageClone(b *testing.B, name string) {
 	b.ReportAllocs()
 	build, _ := stageBuild(b, name)

@@ -39,7 +39,6 @@ func main() {
 	bench := flag.String("bench", "", "restrict to one benchmark by name")
 	format := flag.String("format", "text", "output format for bar figures: text or csv")
 	workers := flag.Int("j", runtime.NumCPU(), "max concurrent compilations/simulations")
-	buildJ := flag.Int("buildj", 1, "additional CPUs inside each benchmark's compile/baseline (use when preparing few benchmarks on many cores; artifacts are identical at any value)")
 	quiet := flag.Bool("q", false, "suppress per-(benchmark, policy) progress on stderr")
 	seed := flag.Uint64("seed", 1, "root seed for -synth workload generation")
 	synth := flag.Int("synth", 0, "replace the benchmark set with this many seeded synthetic workloads")
@@ -87,7 +86,7 @@ func main() {
 		ws := tlssync.SynthBenchmarks(*seed, *synth)
 		progress("compiling and baselining %d synthetic workloads (seed %d, -j %d)...\n", len(ws), *seed, eng.Workers())
 		var err error
-		runs, err = tlssync.PrepareWorkloads(ctx, eng, ws, *buildJ, func(bench string, d time.Duration, err error) {
+		runs, err = tlssync.PrepareWorkloads(ctx, eng, ws, func(bench string, d time.Duration, err error) {
 			if err == nil {
 				progress("prepared %-24s %8s\n", bench, d.Round(time.Millisecond))
 			}
@@ -100,7 +99,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		r, err := tlssync.NewRunWithWorkers(w, *workers)
+		r, err := tlssync.NewRun(w)
 		if err != nil {
 			fatal(err)
 		}
@@ -108,7 +107,7 @@ func main() {
 	default:
 		var err error
 		progress("compiling and baselining 15 benchmarks (-j %d)...\n", eng.Workers())
-		runs, err = tlssync.PrepareAllJ(ctx, eng, *buildJ, func(bench string, d time.Duration, err error) {
+		runs, err = tlssync.PrepareWorkloads(ctx, eng, tlssync.Benchmarks(), func(bench string, d time.Duration, err error) {
 			if err == nil {
 				progress("prepared %-12s %8s\n", bench, d.Round(time.Millisecond))
 			}

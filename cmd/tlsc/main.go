@@ -34,7 +34,7 @@ func main() {
 	verifyFlag := flag.Bool("verify", false, "statically verify synchronization soundness of every binary and exit (non-zero on findings); with -dump, annotate the IR with the diagnostics")
 	timeline := flag.Int("timeline", 0, "render an epoch-lifetime timeline for the first N epochs of each policy")
 	benchName := flag.String("bench", "", "run a built-in benchmark instead of a source file")
-	jFlag := flag.Int("j", runtime.NumCPU(), "max CPUs for the compile/simulation pipeline (output is identical at any -j)")
+	jFlag := flag.Int("j", runtime.NumCPU(), "max policies simulated concurrently (output is identical at any -j)")
 	flag.Parse()
 
 	var src string
@@ -65,7 +65,6 @@ func main() {
 
 	cfg := tlssync.Config{
 		Source: src, TrainInput: train, RefInput: ref, Seed: *seed,
-		Workers: *jFlag,
 	}
 	if *verifyFlag {
 		// Report findings instead of failing the compile, so the user
@@ -116,7 +115,7 @@ func main() {
 
 	w := &tlssync.Workload{Name: "input", Label: "INPUT", Source: src, Train: train, Ref: ref,
 		Character: "user program", PaperCoverage: 1, Expect: "?"}
-	run, err := tlssync.NewRunWithWorkers(w, *jFlag)
+	run, err := tlssync.NewRun(w)
 	if err != nil {
 		fatal(err)
 	}

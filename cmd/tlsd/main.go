@@ -61,7 +61,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8149", "listen address")
 	workers := flag.Int("j", runtime.NumCPU(), "simulation worker-pool size")
-	buildJ := flag.Int("buildj", 1, "CPUs inside each compile/baseline job (artifacts identical at any value)")
 	storeCap := flag.Int("cache", 512, "in-memory artifact-store capacity (entries)")
 	cacheDir := flag.String("cachedir", "", "on-disk artifact-store directory (empty: memory only)")
 	benches := flag.String("benchmarks", "", "comma-separated serving set (empty: all 15)")
@@ -95,8 +94,7 @@ func main() {
 		}
 	}
 	cfg := config{
-		workers:      *workers,
-		buildWorkers: *buildJ,
+		workers: *workers,
 
 		storeCap:   *storeCap,
 		cacheDir:   *cacheDir,

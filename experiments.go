@@ -23,42 +23,29 @@ type Figure struct {
 	Text  string
 }
 
-// PrepareAll compiles and baselines every benchmark, in parallel
-// (compilation and baselining are independent per benchmark; the
-// per-benchmark pipeline itself stays deterministic).
-func PrepareAll() ([]*Run, error) {
-	return PrepareAllWith(context.Background(), jobs.New(0), nil)
-}
-
-// PrepareAllWith compiles and baselines every benchmark through the job
-// engine, so compilation parallelism is bounded by the engine's worker
-// pool and concurrent callers preparing the same benchmark coalesce.
-// progress (optional) is invoked once per completed benchmark.
-func PrepareAllWith(ctx context.Context, eng *jobs.Engine, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
-	return PrepareAllJ(ctx, eng, 1, progress)
-}
-
-// PrepareAllJ is PrepareAllWith with intra-build parallelism: each
-// benchmark's compile/baseline additionally uses up to buildWorkers
-// CPUs (NewRunWithWorkers). Cross-benchmark parallelism still comes
-// from the engine's pool; buildWorkers > 1 mainly helps when preparing
-// few benchmarks on many cores.
+// PrepareAllJ prepares the paper's 15 benchmarks with PrepareWorkloads.
+//
+// Deprecated: buildWorkers is ignored; each build runs serially and
+// its artifacts were identical at any value. Call
+// PrepareWorkloads(ctx, eng, Benchmarks(), progress).
 func PrepareAllJ(ctx context.Context, eng *jobs.Engine, buildWorkers int, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
-	return PrepareWorkloads(ctx, eng, Benchmarks(), buildWorkers, progress)
+	return PrepareWorkloads(ctx, eng, Benchmarks(), progress)
 }
 
-// PrepareWorkloads compiles and baselines an arbitrary workload set —
-// the paper's benchmarks, a subset, or progen-generated synthetic
-// workloads (SynthBenchmarks) — through the job engine, with the same
-// coalescing and parallelism bounds as PrepareAllJ.
-func PrepareWorkloads(ctx context.Context, eng *jobs.Engine, ws []*Workload, buildWorkers int, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
+// PrepareWorkloads compiles and baselines a workload set — the paper's
+// benchmarks (Benchmarks), a subset, or progen-generated synthetic
+// workloads (SynthBenchmarks) — as one job per workload on eng, so the
+// engine's pool bounds the parallelism and concurrent callers preparing
+// the same workload coalesce. progress (optional) is invoked once per
+// completed workload.
+func PrepareWorkloads(ctx context.Context, eng *jobs.Engine, ws []*Workload, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
 	runs := make([]*Run, len(ws))
 	g := eng.NewGroup(ctx)
 	for i, w := range ws {
 		i, w := i, w
 		start := time.Now() //lint:ignore D001 progress-callback latency only; never reaches artifact bytes
 		g.Go("prepare/"+w.Name, func(context.Context) (any, error) {
-			return NewRunWithWorkers(w, buildWorkers)
+			return NewRun(w)
 		}, func(val any, err error) {
 			if err == nil {
 				runs[i] = val.(*Run)

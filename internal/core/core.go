@@ -15,7 +15,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -25,7 +24,6 @@ import (
 	"tlssync/internal/lower"
 	"tlssync/internal/memsync"
 	"tlssync/internal/opt"
-	"tlssync/internal/parallel"
 	"tlssync/internal/profile"
 	"tlssync/internal/regions"
 	"tlssync/internal/scalarsync"
@@ -81,13 +79,6 @@ type Config struct {
 	// soundness error. ModeWarn records findings without failing;
 	// ModeOff skips verification.
 	Verify verify.Mode `json:"Verify"`
-
-	// Workers bounds the pipeline's internal parallelism (dependence
-	// profiling, memsync variants, binary verification). 0 or 1 runs
-	// the serial reference path. Workers changes wall-clock time only,
-	// never any produced artifact, so it is excluded from the
-	// JSON-marshaled form that content-addressed cache keys hash.
-	Workers int `json:"-"`
 }
 
 func (c *Config) fill() {
@@ -220,23 +211,17 @@ func compileChecked(checked *lang.Checked, cfg Config) (*Build, error) {
 	}
 	b.Base = p0
 
-	// Dependence profiling on the base binary, both inputs. The two
-	// interpreter runs share nothing but read-only access to b.Base, so
-	// they shard cleanly; lowest-index error selection keeps the serial
-	// path's "train profiling" error precedence.
+	// Dependence profiling on the base binary, train before ref.
 	profNames := [2]string{"train", "ref"}
 	profInputs := [2][]int64{cfg.TrainInput, cfg.RefInput}
 	depStart := time.Now() //lint:ignore D001 StageTimes is observability only (excluded from artifacts and keys)
-	profs, err := parallel.MapVals(context.Background(), cfg.Workers, 2,
-		func(_ context.Context, i int) (*profile.Profile, error) {
-			p, err := b.DepProfile(profInputs[i])
-			if err != nil {
-				return nil, fmt.Errorf("%s profiling: %w", profNames[i], err)
-			}
-			return p, nil
-		})
-	if err != nil {
-		return nil, err
+	var profs [2]*profile.Profile
+	for i := range profs {
+		p, err := b.DepProfile(profInputs[i])
+		if err != nil {
+			return nil, fmt.Errorf("%s profiling: %w", profNames[i], err)
+		}
+		profs[i] = p
 	}
 	b.TrainProfile, b.RefProfile = profs[0], profs[1]
 	//lint:ignore D001 StageTimes is observability only (excluded from artifacts and keys)
@@ -244,25 +229,18 @@ func compileChecked(checked *lang.Checked, cfg Config) (*Build, error) {
 
 	// Memory-synchronized variants: each works on its own deep copy of
 	// the base binary, guided by its own profile.
-	type msVariant struct {
-		p    *ir.Program
-		info []memsync.Result
+	var variants [2]*ir.Program
+	var infos [2][]memsync.Result
+	for i, prof := range profs {
+		p := b.Base.DeepCopy()
+		info, err := memsync.Apply(p, regions.Regions(p, accepted), prof.Regions, cfg.memOpts())
+		if err != nil {
+			return nil, fmt.Errorf("memsync (%s): %w", profNames[i], err)
+		}
+		variants[i], infos[i] = p, info
 	}
-	msProfs := [2]*profile.Profile{b.TrainProfile, b.RefProfile}
-	variants, err := parallel.MapVals(context.Background(), cfg.Workers, 2,
-		func(_ context.Context, i int) (msVariant, error) {
-			p := b.Base.DeepCopy()
-			info, err := memsync.Apply(p, regions.Regions(p, accepted), msProfs[i].Regions, cfg.memOpts())
-			if err != nil {
-				return msVariant{}, fmt.Errorf("memsync (%s): %w", profNames[i], err)
-			}
-			return msVariant{p: p, info: info}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	b.Train, b.MemInfoTrain = variants[0].p, variants[0].info
-	b.Ref, b.MemInfoRef = variants[1].p, variants[1].info
+	b.Train, b.MemInfoTrain = variants[0], infos[0]
+	b.Ref, b.MemInfoRef = variants[1], infos[1]
 	if err := b.verifyBinaries(); err != nil {
 		return nil, err
 	}
@@ -282,22 +260,14 @@ func (b *Build) verifyBinaries() error {
 	}{
 		{"plain", b.Plain}, {"base", b.Base}, {"train", b.Train}, {"ref", b.Ref},
 	}
-	// The verifier is a pure analysis over one binary; run the four
-	// binaries concurrently, then scan reports in the serial order so
-	// the recorded reports and the enforce-mode error are identical to
-	// the serial path's (on failure the later binaries' reports stay
-	// unrecorded, exactly as if the loop had stopped there).
-	reps, _ := parallel.MapVals(context.Background(), b.Config.Workers, len(bins),
-		func(_ context.Context, i int) (*verify.Report, error) {
-			return verify.Binary(bins[i].p, b.RegionsFor(bins[i].p), verify.Options{
-				CloneEnabled: !b.Config.NoClone, Binary: bins[i].name,
-			}), nil
-		})
 	b.VerifyReports = make(map[string]*verify.Report, 4)
-	for i, bin := range bins {
-		b.VerifyReports[bin.name] = reps[i]
-		if b.Config.Verify == verify.ModeEnforce && !reps[i].Clean() {
-			return fmt.Errorf("synchronization verification failed on the %s binary:\n%s", bin.name, reps[i])
+	for _, bin := range bins {
+		rep := verify.Binary(bin.p, b.RegionsFor(bin.p), verify.Options{
+			CloneEnabled: !b.Config.NoClone, Binary: bin.name,
+		})
+		b.VerifyReports[bin.name] = rep
+		if b.Config.Verify == verify.ModeEnforce && !rep.Clean() {
+			return fmt.Errorf("synchronization verification failed on the %s binary:\n%s", bin.name, rep)
 		}
 	}
 	return nil

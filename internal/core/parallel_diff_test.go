@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"tlssync/internal/core"
@@ -12,39 +13,35 @@ import (
 	"tlssync/internal/sim"
 )
 
-// The pipeline's byte-reproducibility invariant: the Workers knob may
-// change wall-clock time only, never an artifact. This suite compiles
-// generated programs at several worker counts and compares a
-// fingerprint covering everything the pipeline emits — the four
-// binaries' printed IR, region decisions, memsync summaries, verifier
-// reports, the simulated results of every policy-relevant binary, and
-// the sharded sequential baseline. Run it under -race to also catch
-// unsynchronized sharing between the parallel stages.
-
-// diffWorkerCounts are the counts compared against the serial path.
-var diffWorkerCounts = []int{2, 8}
+// The pipeline's byte-reproducibility invariant: compiling the same
+// program twice yields the same artifacts, even when the two compiles
+// run at once and share the process-wide pools (trace event buffers,
+// IR arenas, interpreter memory). This suite compiles each generated
+// program twice concurrently and compares a fingerprint covering
+// everything the pipeline emits — the four binaries' printed IR, region
+// decisions, memsync summaries, verifier reports, the simulated results
+// of every policy-relevant binary, and the sequential baseline. Run it
+// under -race to also catch unsynchronized sharing through the pools.
 
 // diffConfig is the canonical compile configuration for seed programs.
-func diffConfig(src string, workers int) core.Config {
+func diffConfig(src string) core.Config {
 	return core.Config{
 		Source:     src,
 		TrainInput: []int64{2, 7, 1},
 		RefInput:   []int64{3, 1, 4, 1, 5},
 		Seed:       42,
 		MaxSteps:   2_000_000,
-		Workers:    workers,
 	}
 }
 
 // buildFingerprint renders every observable output of a compile (and
 // of the simulations downstream of it) into one byte string.
-func buildFingerprint(t *testing.T, cfg core.Config) string {
-	t.Helper()
+func buildFingerprint(cfg core.Config) (string, error) {
 	var sb strings.Builder
 	b, err := core.Compile(cfg)
 	if err != nil {
-		// Errors must be deterministic too (lowest-index selection).
-		return "compile error: " + err.Error()
+		// Errors must be deterministic too.
+		return "compile error: " + err.Error(), nil
 	}
 
 	fmt.Fprintf(&sb, "== plain ==\n%s\n== base ==\n%s\n== train ==\n%s\n== ref ==\n%s\n",
@@ -63,15 +60,15 @@ func buildFingerprint(t *testing.T, cfg core.Config) string {
 	}
 
 	// Downstream: trace each binary and simulate the policies that read
-	// it, plus the (sharded) sequential baseline off the plain trace.
+	// it, plus the sequential baseline off the plain trace.
 	plainTr, err := b.Trace(b.Plain, cfg.RefInput)
 	if err != nil {
-		t.Fatalf("plain trace: %v", err)
+		return "", fmt.Errorf("plain trace: %w", err)
 	}
-	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr, Workers: cfg.Workers})
+	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr})
 	sj, err := json.Marshal(seq)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	fmt.Fprintf(&sb, "== seq ==\n%s\n", sj)
 
@@ -93,16 +90,16 @@ func buildFingerprint(t *testing.T, cfg core.Config) string {
 		}
 		tr, err := b.Trace(p, cfg.RefInput)
 		if err != nil {
-			t.Fatalf("%s trace: %v", pc.binary, err)
+			return "", fmt.Errorf("%s trace: %w", pc.binary, err)
 		}
 		res := sim.Simulate(sim.Input{Trace: tr, Policy: pc.pol})
 		rj, err := json.Marshal(res)
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		fmt.Fprintf(&sb, "== sim %s/%s ==\n%s\n", pc.binary, pc.pol.Name, rj)
 	}
-	return sb.String()
+	return sb.String(), nil
 }
 
 func TestParallelDiffDeterministic(t *testing.T) {
@@ -115,13 +112,25 @@ func TestParallelDiffDeterministic(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			src := progen.Generate(uint64(seed), progen.DefaultConfig())
-			want := buildFingerprint(t, diffConfig(src, 1))
-			for _, workers := range diffWorkerCounts {
-				got := buildFingerprint(t, diffConfig(src, workers))
-				if got != want {
-					t.Errorf("workers=%d: fingerprint diverged from -j1\n--- first difference ---\n%s",
-						workers, firstDiff(want, got))
+			var fps [2]string
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range fps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fps[i], errs[i] = buildFingerprint(diffConfig(src))
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
 				}
+			}
+			if fps[0] != fps[1] {
+				t.Errorf("two concurrent compiles diverged\n--- first difference ---\n%s",
+					firstDiff(fps[0], fps[1]))
 			}
 		})
 	}
@@ -132,28 +141,8 @@ func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n-j1: %s\n-jN: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n first: %s\nsecond: %s", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("length differs: %d vs %d lines", len(al), len(bl))
-}
-
-// TestWorkersExcludedFromCanonicalConfig pins the store-key invariant:
-// Workers must not appear in the JSON form that content-addressed cache
-// keys hash, or -j1 and -jN would populate disjoint cache entries.
-func TestWorkersExcludedFromCanonicalConfig(t *testing.T) {
-	a, err := json.Marshal(diffConfig("func main() { print(1); }", 1).Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(diffConfig("func main() { print(1); }", 8).Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("Workers leaked into the canonical config JSON:\n%s\n%s", a, b)
-	}
-	if strings.Contains(string(a), "Workers") {
-		t.Fatalf("canonical config JSON mentions Workers: %s", a)
-	}
 }

@@ -80,7 +80,8 @@ type Config struct {
 	KeyStructs []string
 	// MarshalFuncs identify artifact-content producers: a function
 	// whose body calls one of these must not read a `json:"-"` field of
-	// a key struct (the Workers rule from the parallel-pipeline PR).
+	// a key struct: what the key excludes must not reach the bytes it
+	// addresses.
 	MarshalFuncs []string
 
 	// ---- S001 seam-bypass ----

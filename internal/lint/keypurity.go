@@ -14,8 +14,8 @@ import (
 //     marshals under its Go name implicitly, so a rename silently
 //     changes every store key; worse, nobody ever *decided* the field
 //     belongs in the key. `json:"-"` is the explicit way to keep a
-//     field out (the Workers rule from the parallel-pipeline PR: knobs
-//     that change wall-clock but not artifacts must not perturb keys).
+//     field out: a knob that changes wall-clock time but no artifact
+//     must not perturb keys.
 //   - Unexported fields are forbidden: encoding/json skips them
 //     silently, so behavior-relevant state would be invisible to the
 //     key — two different computations aliasing one artifact.

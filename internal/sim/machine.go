@@ -16,14 +16,6 @@ type Input struct {
 	// CollectTimeline records per-epoch lifetime spans (start, squashes,
 	// commit) into Result.Spans for rendering with Timeline.
 	CollectTimeline bool
-
-	// Workers shards SimulateSequentialRegions across CPUs (epochs and
-	// sequential segments time independently once memory latencies are
-	// replayed; see seqshard.go for why the result is bit-identical).
-	// 0 or 1 selects the serial reference path. Speculative Simulate
-	// ignores it: epochs there interact through the violation table,
-	// mailboxes and shared cache, so it cannot shard.
-	Workers int
 }
 
 // Simulate replays the trace under the policy and returns timing and
@@ -40,9 +32,6 @@ func Simulate(in Input) *Result {
 // normalization baseline for every execution-time bar in the paper.
 func SimulateSequentialRegions(in Input) *Result {
 	in.Policy = Policy{Name: "seq"}
-	if in.Workers > 1 {
-		return simulateSeqSharded(in)
-	}
 	m := newMachine(in)
 	for _, seg := range m.in.Trace.Segments {
 		if seg.Region == nil {
@@ -150,8 +139,7 @@ type machine struct {
 	pol  Policy
 	res  *Result
 	hier *hierarchy
-	lat  latencySource // memory-latency provider: hier, or a recorded replay
-	code ir.Code       // static-instruction table resolving trace.Event.SI
+	code ir.Code // static-instruction table resolving trace.Event.SI
 
 	table  *hwTable // violation-history table (shadow in all modes)
 	pred   *predictor
@@ -201,7 +189,6 @@ func newMachine(in Input) *machine {
 			ViolByKind: make(map[string]int64),
 		},
 	}
-	m.lat = m.hier
 	return m
 }
 
@@ -542,11 +529,11 @@ func (m *machine) execLatency(run *epochRun, ev *trace.Event) int {
 		}
 		return 1
 	case ir.Load, ir.LoadSync:
-		lat := m.lat.memLatency(run.cpu, ev.Addr)
+		lat := m.hier.latency(run.cpu, ev.Addr)
 		m.trackLoad(run, ev)
 		return lat
 	case ir.Store:
-		m.lat.memLatency(run.cpu, ev.Addr)
+		m.hier.latency(run.cpu, ev.Addr)
 		m.trackStore(run, ev)
 		return 1
 	case ir.NewObj:

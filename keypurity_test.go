@@ -13,9 +13,9 @@ import (
 // The K001 contract, checked dynamically: every field of the structs
 // whose JSON feeds content-addressed store keys carries an explicit
 // json tag (membership in the key is a decision, not an accident of
-// field naming), and mutating any `json:"-"` field — the key-excluded
-// knobs like core.Config.Workers — must perturb neither the marshaled
-// bytes nor the resulting artifact key. tlslint proves the same
+// field naming), and mutating any `json:"-"` field — a knob that
+// changes wall-clock time but no artifact — must perturb neither the
+// marshaled bytes nor the resulting artifact key. tlslint proves the same
 // statically; this test is the runtime twin that would also catch a
 // custom MarshalJSON leaking an excluded field.
 
@@ -47,7 +47,6 @@ func checkKeyStruct(t *testing.T, name string, zero any, key func(any) string) {
 		t.Fatal(err)
 	}
 	baseKey := key(zero)
-	dashFields := 0
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i)
 		tag, ok := field.Tag.Lookup("json")
@@ -58,7 +57,6 @@ func checkKeyStruct(t *testing.T, name string, zero any, key func(any) string) {
 		if tag != "-" && !strings.HasPrefix(tag, "-,") {
 			continue
 		}
-		dashFields++
 		twin := reflect.New(typ).Elem()
 		twin.Set(reflect.ValueOf(zero))
 		if !mutateField(twin, i) {
@@ -78,9 +76,6 @@ func checkKeyStruct(t *testing.T, name string, zero any, key func(any) string) {
 			t.Errorf("%s.%s is key-excluded but mutating it changed the artifact key: %s -> %s",
 				name, field.Name, baseKey, got)
 		}
-	}
-	if name == "core.Config" && dashFields == 0 {
-		t.Errorf("%s has no json:\"-\" fields; Workers was expected to be key-excluded", name)
 	}
 }
 

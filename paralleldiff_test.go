@@ -1,33 +1,44 @@
 package tlssync
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"tlssync/internal/jobs"
 	"tlssync/internal/report"
 )
 
-// Worker-count invariance at the benchmark level: NewRunWithWorkers must
-// produce byte-identical baselines, simulation results, bars and store
-// keys at every -j. This is the contract that lets tlsbench/tlsd hand
-// out cached artifacts without knowing which worker count produced them.
+// Worker-count invariance at the benchmark level: simulating a Run's
+// policies through a job engine of any size must produce byte-identical
+// baselines, simulation results, bars and store keys. This is the
+// contract that lets tlsbench/tlsd hand out cached artifacts without
+// knowing which engine -j produced them.
+
+// fingerprintFigures are the experiments whose simulations
+// runFingerprint prewarms: together they need U, T, C, E and L.
+var fingerprintFigures = []string{"8", "9"}
 
 // runFingerprint captures everything a Run feeds into figures and the
-// artifact store.
+// artifact store, with the policy simulations run concurrently on an
+// engine of the given size.
 func runFingerprint(t *testing.T, w *Workload, workers int) string {
 	t.Helper()
-	r, err := NewRunWithWorkers(w, workers)
+	r, err := NewRun(w)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("-j%d: %v", workers, err)
+	}
+	if err := Prewarm(context.Background(), jobs.New(workers), []*Run{r}, fingerprintFigures, nil); err != nil {
+		t.Fatalf("-j%d: prewarm: %v", workers, err)
 	}
 	out := fmt.Sprintf("seq region=%d program=%d outside=%d\n",
 		r.SeqRegion, r.SeqProgram, r.SeqOutside)
 	for _, label := range []string{"U", "T", "C", "E"} {
 		res, err := r.Simulate(label)
 		if err != nil {
-			t.Fatalf("workers=%d: %s: %v", workers, label, err)
+			t.Fatalf("-j%d: %s: %v", workers, label, err)
 		}
 		rj, err := json.Marshal(res)
 		if err != nil {
@@ -42,8 +53,7 @@ func runFingerprint(t *testing.T, w *Workload, workers int) string {
 	for _, label := range []string{"U", "C"} {
 		key := r.ArtifactKey("simulate", label)
 		if want := WorkloadArtifactKey("simulate", w, label); key != want {
-			t.Fatalf("workers=%d: run key %q != workload key %q (Workers leaked into the content address)",
-				workers, key, want)
+			t.Fatalf("-j%d: run key %q != workload key %q", workers, key, want)
 		}
 		out += fmt.Sprintf("key %s %s\n", label, key)
 	}
@@ -62,7 +72,7 @@ func TestParallelDiffBenchmarks(t *testing.T) {
 			want := runFingerprint(t, w, 1)
 			for _, workers := range []int{2, 8} {
 				if got := runFingerprint(t, w, workers); got != want {
-					t.Errorf("workers=%d: fingerprint diverged from -j1:\n-j1:\n%s\n-j%d:\n%s",
+					t.Errorf("-j%d: fingerprint diverged from -j1:\n-j1:\n%s\n-j%d:\n%s",
 						workers, want, workers, got)
 				}
 			}
@@ -72,7 +82,7 @@ func TestParallelDiffBenchmarks(t *testing.T) {
 
 // TestParallelDiffMatrix asserts the determinism contract across the
 // scheduler dimension too: byte-identical fingerprints at every point
-// of GOMAXPROCS {1,8} x -j {1,8}. Worker-count invariance alone could
+// of GOMAXPROCS {1,8} x engine -j {1,8}. Worker-count invariance alone could
 // mask bugs that only appear when goroutines actually run concurrently
 // (GOMAXPROCS>1) or are forcibly serialized (GOMAXPROCS=1) — e.g. a
 // pooled object handed to two builds, which only one schedule
@@ -101,23 +111,24 @@ func TestParallelDiffMatrix(t *testing.T) {
 	}
 }
 
-// TestParallelDiffFigures renders whole figures at -j1 and -j8 over a
-// 3-benchmark subset and compares the rendered text and row JSON — the
-// actual end artifacts tlsbench emits.
+// TestParallelDiffFigures renders whole figures at engine -j1 and -j8
+// over a 3-benchmark subset and compares the rendered text and row JSON
+// — the actual end artifacts tlsbench emits.
 func TestParallelDiffFigures(t *testing.T) {
+	ids := []string{"8", "10", "T2"}
 	prepare := func(workers int) []*Run {
-		runs := make([]*Run, 3)
-		for i, w := range Benchmarks()[:3] {
-			r, err := NewRunWithWorkers(w, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs[i] = r
+		ctx, eng := context.Background(), jobs.New(workers)
+		runs, err := PrepareWorkloads(ctx, eng, Benchmarks()[:3], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Prewarm(ctx, eng, runs, ids, nil); err != nil {
+			t.Fatal(err)
 		}
 		return runs
 	}
 	serial, parallel8 := prepare(1), prepare(8)
-	for _, id := range []string{"8", "10", "T2"} {
+	for _, id := range ids {
 		fs, err := Experiments[id](serial)
 		if err != nil {
 			t.Fatalf("fig %s (j1): %v", id, err)

@@ -51,15 +51,13 @@ func TestConcurrentBuildsShareNoPooledObjects(t *testing.T) {
 	}
 }
 
-// buildDigest compiles one workload at -j4 (intra-build parallelism on
-// top of the inter-build parallelism of the test) and digests
-// everything the build feeds downstream: decisions, stats and the
-// functional trace outputs of all three binaries.
+// buildDigest compiles one workload and digests everything the build
+// feeds downstream: decisions, stats and the functional trace outputs
+// of all three binaries.
 func buildDigest(t *testing.T, w *Workload) string {
 	t.Helper()
 	build, err := Compile(Config{
 		Source: w.Source, TrainInput: w.Train, RefInput: w.Ref, Seed: 42,
-		Workers: 4,
 	})
 	if err != nil {
 		t.Errorf("%s: %v", w.Name, err)

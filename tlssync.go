@@ -18,7 +18,6 @@
 package tlssync
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -26,7 +25,6 @@ import (
 
 	"tlssync/internal/core"
 	"tlssync/internal/memsync"
-	"tlssync/internal/parallel"
 	"tlssync/internal/regions"
 	"tlssync/internal/report"
 	"tlssync/internal/sim"
@@ -82,8 +80,6 @@ type Run struct {
 	SeqProgram int64
 	SeqOutside int64 // sequential cycles outside regions
 
-	workers int // intra-run parallelism (trace fan-out, seq-baseline sharding)
-
 	mu     sync.Mutex            // guards traces, cache and stages
 	traces map[string]*traceCell // per-binary trace, computed once
 	cache  map[string]*sim.Result
@@ -110,23 +106,15 @@ func runConfig(w *Workload) core.Config {
 	}.Canonical()
 }
 
-// NewRun compiles w and computes its sequential baseline on the serial
-// reference path (workers = 1).
-func NewRun(w *Workload) (*Run, error) { return NewRunWithWorkers(w, 1) }
-
-// NewRunWithWorkers is NewRun with intra-build parallelism: the compile
-// pipeline, the sequential-baseline sharding and an eager fan-out over
-// the per-binary traces all use up to workers CPUs. Every artifact is
-// byte-identical to the workers=1 path (the parallel_diff suites pin
-// this); only wall-clock time changes.
-func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
-	cfg := runConfig(w)
-	cfg.Workers = workers
-	b, err := core.Compile(cfg)
+// NewRun compiles w and computes its sequential baseline. The
+// per-binary traces are built lazily by the first Simulate that needs
+// them.
+func NewRun(w *Workload) (*Run, error) {
+	b, err := core.Compile(runConfig(w))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	r := &Run{W: w, Build: b, workers: workers,
+	r := &Run{W: w, Build: b,
 		traces: make(map[string]*traceCell),
 		cache:  make(map[string]*sim.Result),
 		stages: make(map[string]time.Duration),
@@ -142,7 +130,7 @@ func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("trace", time.Since(traceStart))
 	simStart := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr, Workers: workers})
+	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr})
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("sim", time.Since(simStart))
 	plainTr.Release() // the baseline is the plain trace's only consumer
@@ -151,19 +139,6 @@ func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
 	r.SeqOutside = seq.SeqCycles
 	if r.SeqRegion == 0 {
 		return nil, fmt.Errorf("%s: no region executed", w.Name)
-	}
-	if workers > 1 {
-		// Warm the three per-binary traces concurrently; every later
-		// Simulate call then starts from a memoized trace. Results are
-		// identical to lazy computation — traces are deterministic.
-		binaries := []string{"base", "train", "ref"}
-		if err := parallel.Map(context.Background(), workers, len(binaries),
-			func(_ context.Context, i int) error {
-				_, err := r.traceFor(binaries[i])
-				return err
-			}); err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
 	}
 	return r, nil
 }
