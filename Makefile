@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race diff bench bench-json bench-smoke profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
+.PHONY: all build vet lint test test-short race diff fuzz-smoke bench bench-json bench-smoke profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
 
 all: build vet lint test race
 
@@ -34,7 +34,7 @@ test-short:
 # (benchmark × policy) fan-out over a shared Run.
 race:
 	$(GO) test -race ./internal/tlsrt/ ./internal/jobs/ ./internal/store/ ./internal/fault/ ./internal/resilience/ ./internal/parallel/ ./internal/scenario/ ./internal/cluster/
-	$(GO) test -race -run 'TestConcurrentSimulate|TestPrewarmMatchesSequential|TestConcurrentBuildsShareNoPooledObjects' .
+	$(GO) test -race -run 'TestConcurrentSimulate|TestPrewarmMatchesSequential|TestPrepareWorkloadsReportsFirstError|TestConcurrentBuildsShareNoPooledObjects' .
 
 # Differential determinism suites under the race detector: two compiles
 # of one program running at once must produce byte-identical artifacts
@@ -46,6 +46,15 @@ race:
 diff:
 	$(GO) test -race -short -run 'TestParallelDiff' ./internal/core/
 	$(GO) test -race -short -run 'TestParallelDiff|TestGolden' .
+
+# Fuzz smoke: feed mutated scenario YAML through the parser, the
+# reflective decoder and validation for a short, fixed time (Parse must
+# never panic; an accepted scenario must marshal). A crash is saved
+# under internal/scenario/testdata/fuzz/ and replays as a regression
+# test in every later `go test`.
+FUZZTIME ?= 20s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Long fuzz-verify run: compile 200 generated programs and statically
 # verify the synchronization of every binary (see docs/verify.md).

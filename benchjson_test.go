@@ -3,7 +3,6 @@ package tlssync
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -112,27 +111,20 @@ func TestBenchJSON(t *testing.T) {
 // Runs every iteration — Run memoizes simulations, so reusing them
 // would time cache hits.
 func benchPipeline(b *testing.B, names []string, workers int) {
+	ws := make([]*Workload, len(names))
+	for j, name := range names {
+		w, err := Benchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws[j] = w
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := jobs.New(workers)
 		ctx := context.Background()
-		runs := make([]*Run, len(names))
-		g := eng.NewGroup(ctx)
-		for j, name := range names {
-			j, name := j, name
-			g.Go(fmt.Sprintf("prepare/%s/%d", name, i), func(context.Context) (any, error) {
-				w, err := Benchmark(name)
-				if err != nil {
-					return nil, err
-				}
-				return NewRun(w)
-			}, func(val any, err error) {
-				if err == nil {
-					runs[j] = val.(*Run)
-				}
-			})
-		}
-		if err := g.Wait(); err != nil {
+		runs, err := PrepareWorkloads(ctx, eng, ws, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
 		if err := Prewarm(ctx, eng, runs, []string{"10"}, nil); err != nil {

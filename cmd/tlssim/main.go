@@ -29,6 +29,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"tlssync/internal/scenario"
@@ -267,8 +268,14 @@ func cmdPlan(argv []string) error {
 	}
 	fmt.Printf("%s  seed %d  fingerprint %s\n", p.Scenario, p.Seed, p.Fingerprint)
 	fmt.Printf("  %d clients, %d requests over %v\n", len(p.Clients), p.TotalRequests(), p.Duration)
-	for name, n := range p.PerTemplate() {
-		fmt.Printf("  template %-16s ×%d\n", name, n)
+	perTemplate := p.PerTemplate()
+	names := make([]string, 0, len(perTemplate))
+	for name := range perTemplate {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Printf("  template %-16s ×%d\n", name, perTemplate[name])
 	}
 	for _, ev := range p.Faults {
 		switch ev.Kind {

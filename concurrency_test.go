@@ -2,6 +2,7 @@ package tlssync
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +138,23 @@ func TestSpecsForCoverAllExperiments(t *testing.T) {
 				t.Errorf("SpecsFor(%q): duplicate key %s", id, sp.Key())
 			}
 			seen[sp.Key()] = true
+		}
+	}
+}
+
+// TestPrepareWorkloadsReportsFirstError: when several workloads fail,
+// PrepareWorkloads reports the first one's error in input order, not
+// whichever failed first. The slow failure (a full compile that selects
+// no region) comes first; the fast one (a parse error) second.
+func TestPrepareWorkloadsReportsFirstError(t *testing.T) {
+	ws := []*Workload{
+		{Name: "no-region", Source: "func main() { var i int; var s int; for i = 0; i < 20000; i = i + 1 { s = s + i; } print(s); }"},
+		{Name: "parse-error", Source: "func main( {"},
+	}
+	for iter := 0; iter < 5; iter++ {
+		_, err := PrepareWorkloads(context.Background(), jobs.New(2), ws, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "no-region: ") {
+			t.Fatalf("iteration %d: err = %v, want the no-region workload's error", iter, err)
 		}
 	}
 }

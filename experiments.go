@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tlssync/internal/jobs"
+	"tlssync/internal/parallel"
 	"tlssync/internal/report"
 	"tlssync/internal/sim"
 )
@@ -37,29 +38,39 @@ func PrepareAllJ(ctx context.Context, eng *jobs.Engine, buildWorkers int, progre
 // workloads (SynthBenchmarks) — as one job per workload on eng, so the
 // engine's pool bounds the parallelism and concurrent callers preparing
 // the same workload coalesce. progress (optional) is invoked once per
-// completed workload.
+// completed workload. When several workloads fail, the error is the
+// first one's in ws order.
 func PrepareWorkloads(ctx context.Context, eng *jobs.Engine, ws []*Workload, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
 	runs := make([]*Run, len(ws))
-	g := eng.NewGroup(ctx)
-	for i, w := range ws {
-		i, w := i, w
+	err := fanOut(ctx, len(ws), func(i int) error {
+		w := ws[i]
 		start := time.Now() //lint:ignore D001 progress-callback latency only; never reaches artifact bytes
-		g.Go("prepare/"+w.Name, func(context.Context) (any, error) {
+		val, err := eng.Do(ctx, "prepare/"+w.Name, func(context.Context) (any, error) {
 			return NewRun(w)
-		}, func(val any, err error) {
-			if err == nil {
-				runs[i] = val.(*Run)
-			}
-			if progress != nil {
-				//lint:ignore D001 progress-callback latency only; never reaches artifact bytes
-				progress(w.Name, time.Since(start), err)
-			}
 		})
-	}
-	if err := g.Wait(); err != nil {
+		if progress != nil {
+			//lint:ignore D001 progress-callback latency only; never reaches artifact bytes
+			progress(w.Name, time.Since(start), err)
+		}
+		if err != nil {
+			return err
+		}
+		runs[i] = val.(*Run)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return runs, nil
+}
+
+// fanOut waits on n engine jobs at once, one goroutine each (the engine
+// pool bounds the work), and returns the lowest-index error. fn must
+// wait under the caller's ctx, not the ctx parallel.Map hands out: that
+// one is cancelled by a sibling's failure, which would turn a
+// lower-index job's real error into context.Canceled.
+func fanOut(ctx context.Context, n int, fn func(i int) error) error {
+	return parallel.Map(ctx, n, n, func(_ context.Context, i int) error { return fn(i) })
 }
 
 func barsFor(r *Run, labels ...string) ([]report.Bar, error) {
@@ -239,19 +250,6 @@ func Fig11(runs []*Run) (*Figure, error) {
 	return f, nil
 }
 
-// simulateOn forces a specific binary for a policy (used by Fig11).
-func (r *Run) simulateOn(binary, cacheLabel string, pol sim.Policy) (*sim.Result, error) {
-	if res, ok := r.cachedResult(cacheLabel); ok {
-		return res, nil
-	}
-	tr, err := r.traceFor(binary)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Simulate(sim.Input{Trace: tr, Policy: pol})
-	return r.storeResult(cacheLabel, res), nil
-}
-
 // Fig12 — whole-program speedups for U, C, H, B.
 func Fig12(runs []*Run) (*Figure, error) {
 	f := &Figure{ID: "12", Title: "Figure 12: whole-program speedup over sequential execution"}
@@ -332,12 +330,26 @@ type SimSpec struct {
 // Key returns the job-engine coalescing key for the spec.
 func (sp SimSpec) Key() string { return "simulate/" + sp.Run.W.Name + "/" + sp.Label }
 
-// SimulateSpec runs (and caches) one spec on its Run.
+// SimulateSpec runs (and caches under sp.Label) one spec on its Run,
+// on sp.Binary or else the binary the label selects. Every simulation
+// of a Run goes through here, so each one is timed under stage "sim".
 func (r *Run) SimulateSpec(sp SimSpec) (*sim.Result, error) {
-	if sp.Binary != "" {
-		return r.simulateOn(sp.Binary, sp.Label, sp.Policy)
+	if res, ok := r.cachedResult(sp.Label); ok {
+		return res, nil
 	}
-	return r.SimulatePolicy(sp.Label, sp.Policy)
+	binary := sp.Binary
+	if binary == "" {
+		binary = r.binaryFor(sp.Label)
+	}
+	tr, err := r.traceFor(binary)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
+	res := sim.Simulate(sim.Input{Trace: tr, Policy: sp.Policy})
+	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
+	r.noteStage("sim", time.Since(start))
+	return r.storeResult(sp.Label, res), nil
 }
 
 // LabelSpec returns the spec for a plain label-driven simulation
@@ -395,40 +407,37 @@ func SpecsFor(id string, runs []*Run) []SimSpec {
 // the job engine at (benchmark × policy) granularity, deduplicating
 // specs shared between experiments. After Prewarm, the experiment
 // functions assemble their figures entirely from cached results.
-// progress (optional) is invoked once per completed pair.
+// progress (optional) is invoked once per completed pair. When several
+// specs fail, the error is the first one's in spec order.
 func Prewarm(ctx context.Context, eng *jobs.Engine, runs []*Run, ids []string,
 	progress func(bench, label string, d time.Duration, err error)) error {
 	seen := make(map[string]bool)
-	g := eng.NewGroup(ctx)
+	var specs []SimSpec
 	for _, id := range ids {
 		for _, sp := range SpecsFor(id, runs) {
-			// A dead caller (deadline, disconnect) stops the fan-out
-			// here instead of submitting the rest of the specs only for
-			// each to fail the same way.
-			if err := ctx.Err(); err != nil {
-				return err
+			if key := sp.Key(); !seen[key] {
+				seen[key] = true
+				specs = append(specs, sp)
 			}
-			key := sp.Key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			sp := sp
-			start := time.Now() //lint:ignore D001 progress-callback latency only; never reaches artifact bytes
-			g.Go(key, func(jctx context.Context) (any, error) {
-				if err := jctx.Err(); err != nil {
-					return nil, err
-				}
-				return sp.Run.SimulateSpec(sp)
-			}, func(_ any, err error) {
-				if progress != nil {
-					//lint:ignore D001 progress-callback latency only; never reaches artifact bytes
-					progress(sp.Run.W.Name, sp.Label, time.Since(start), err)
-				}
-			})
 		}
 	}
-	return g.Wait()
+	// A dead caller (deadline, disconnect) stops the fan-out instead of
+	// submitting the rest of the specs only for each to fail the same way.
+	return fanOut(ctx, len(specs), func(i int) error {
+		sp := specs[i]
+		start := time.Now() //lint:ignore D001 progress-callback latency only; never reaches artifact bytes
+		_, err := eng.Do(ctx, sp.Key(), func(jctx context.Context) (any, error) {
+			if err := jctx.Err(); err != nil {
+				return nil, err
+			}
+			return sp.Run.SimulateSpec(sp)
+		})
+		if progress != nil {
+			//lint:ignore D001 progress-callback latency only; never reaches artifact bytes
+			progress(sp.Run.W.Name, sp.Label, time.Since(start), err)
+		}
+		return err
+	})
 }
 
 // Experiments maps figure/table IDs to their runners.

@@ -347,48 +347,3 @@ func (e *Engine) Stats() Stats {
 		Stages:    stages,
 	}
 }
-
-// Group waits for a set of jobs submitted together (a convenience over
-// sync.WaitGroup + first-error collection used by the fan-out paths).
-type Group struct {
-	eng *Engine
-	ctx context.Context
-
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error
-}
-
-// NewGroup returns a group that submits through eng under ctx.
-func (e *Engine) NewGroup(ctx context.Context) *Group {
-	return &Group{eng: e, ctx: ctx}
-}
-
-// Go submits fn under key and records its result via done (which may be
-// nil). The first error is retained for Wait.
-func (g *Group) Go(key string, fn func(context.Context) (any, error), done func(val any, err error)) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		val, err := g.eng.Do(g.ctx, key, fn)
-		if done != nil {
-			done(val, err)
-		}
-		if err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every submitted job finished and returns the first
-// error.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}

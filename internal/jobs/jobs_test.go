@@ -386,37 +386,6 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestGroup: the Group helper fans out, preserves per-job callbacks, and
-// reports the first error.
-func TestGroup(t *testing.T) {
-	e := New(4)
-	g := e.NewGroup(context.Background())
-	var sum atomic.Int64
-	for i := 1; i <= 5; i++ {
-		i := i
-		g.Go(fmt.Sprintf("n%d", i), func(context.Context) (any, error) { return int64(i), nil },
-			func(val any, err error) {
-				if err == nil {
-					sum.Add(val.(int64))
-				}
-			})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d, want 15", sum.Load())
-	}
-
-	g2 := e.NewGroup(context.Background())
-	boom := errors.New("boom")
-	g2.Go("ok", func(context.Context) (any, error) { return nil, nil }, nil)
-	g2.Go("bad", func(context.Context) (any, error) { return nil, boom }, nil)
-	if err := g2.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("group err = %v, want boom", err)
-	}
-}
-
 // TestTimingStats: durations accumulate and AvgTime is sane.
 func TestTimingStats(t *testing.T) {
 	e := New(2)

@@ -7,7 +7,8 @@
 //     invariant: -j1 and -jN must produce identical artifacts);
 //   - error selection is deterministic: when several calls fail, the
 //     lowest-index error is returned, matching what a serial loop that
-//     stops at the first failure would report;
+//     stops at the first failure would report (a failure stops the
+//     dispatch of higher indices only, so every lower index still runs);
 //   - workers <= 1 degenerates to a plain serial loop on the caller's
 //     goroutine, so the serial path has no goroutine overhead and is
 //     trivially the reference implementation;
@@ -29,7 +30,8 @@ import (
 //
 // The first failure cancels the context handed to calls that have not
 // completed yet; calls are free to ignore it (all of this package's
-// users are CPU-bound and run to completion). A panic in fn is
+// users do), and a call that ignores it reports exactly the error a
+// serial loop would have stopped at. A panic in fn is
 // re-raised on the calling goroutine after the other workers drain, so
 // panic semantics match the serial path.
 func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
@@ -56,11 +58,13 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 	errs := make([]error, n)
 	var (
 		next     atomic.Int64
+		failed   atomic.Int64 // lowest failed index so far; n while none
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicVal any
 		panicked bool
 	)
+	failed.Store(int64(n))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -70,11 +74,12 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 				if i >= n {
 					return
 				}
-				if cctx.Err() != nil {
-					// Cancelled (caller's ctx or a sibling's failure):
+				if ctx.Err() != nil || int64(i) > failed.Load() {
+					// Cancelled by the caller, or above a failed index:
 					// stop dispatching. Nothing is recorded for skipped
-					// indices, so the error reported below is the
-					// genuine lowest-index failure, not a cascade.
+					// indices, and no index below a failure is skipped,
+					// so the error reported below is the genuine
+					// lowest-index failure, not a cascade.
 					continue
 				}
 				func() {
@@ -85,11 +90,17 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 								panicked, panicVal = true, r
 							}
 							panicMu.Unlock()
+							failed.Store(-1)
 							cancel()
 						}
 					}()
 					if err := fn(cctx, i); err != nil {
 						errs[i] = err
+						for f := failed.Load(); int64(i) < f; f = failed.Load() {
+							if failed.CompareAndSwap(f, int64(i)) {
+								break
+							}
+						}
 						cancel()
 					}
 				}()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,10 +205,9 @@ func Parse(file string, data []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{file: file}
-	sc := d.scenario(root)
-	if d.err != nil {
-		return nil, d.err
+	sc := &Scenario{}
+	if err := decode(file, root, reflect.ValueOf(sc).Elem(), ""); err != nil {
+		return nil, err
 	}
 	if err := sc.validate(file); err != nil {
 		return nil, err
@@ -214,463 +215,162 @@ func Parse(file string, data []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-// decoder decodes the node tree into the typed schema, accumulating
-// the first positional error. Every mapping decode is strict: unknown
-// keys are errors naming the key and its line.
-type decoder struct {
-	file string
-	err  error
+// The structs above are the DSL's only schema. decode walks the node
+// tree into them by reflection: a mapping key is a field's json tag
+// name, fields are visited in declaration order (so the first error and
+// every "known keys" list are stable), and a struct decoded from a
+// mapping starts from its entry in defaults. Every mapping is strict:
+// an unknown key is an error naming the key and its line.
+
+// defaults are the values a section holds before its keys apply. A
+// present think: block starts from Think's entry (no mean), not from
+// the template's default think. Entries hold no slices or pointers, so
+// copying one shares nothing.
+var defaults = typeTable(
+	DaemonSpec{Count: 1},
+	FleetSpec{Startup: Startup{Pattern: "instant"}},
+	Startup{Pattern: "instant"},
+	Template{Endpoint: "simulate", Think: Think{Dist: "fixed", Mean: 100 * time.Millisecond}},
+	Think{Dist: "fixed"},
+	FaultEvent{Times: 1},
+)
+
+func typeTable(vals ...any) map[reflect.Type]reflect.Value {
+	m := make(map[reflect.Type]reflect.Value, len(vals))
+	for _, v := range vals {
+		m[reflect.TypeOf(v)] = reflect.ValueOf(v)
+	}
+	return m
 }
 
-func (d *decoder) fail(line int, format string, args ...any) {
-	if d.err == nil {
-		d.err = errAt(d.file, line, format, args...)
-	}
-}
+var durationType = reflect.TypeOf(time.Duration(0))
 
-// strict verifies that a mapping holds only known keys.
-func (d *decoder) strict(n *node, context string, known ...string) {
-	if n.kind != mapNode {
-		d.fail(n.line, "%s: expected a mapping, got a %s", context, n.kindName())
-		return
-	}
-	for i, k := range n.keys {
-		found := false
-		for _, ok := range known {
-			if k == ok {
-				found = true
-				break
+// decode stores n into v. path is the dotted key path that error
+// messages name ("" at the root); a sequence element is named by its
+// sequence's key in the singular (fleet.templates → template).
+func decode(file string, n *node, v reflect.Value, path string) error {
+	t := v.Type()
+	switch t.Kind() {
+	case reflect.Struct:
+		return decodeStruct(file, n, v, path)
+	case reflect.Pointer:
+		p := reflect.New(t.Elem())
+		if err := decode(file, n, p.Elem(), path); err != nil {
+			return err
+		}
+		v.Set(p)
+		return nil
+	case reflect.Slice:
+		if n.kind == scalarNode && t.Elem().Kind() == reflect.String {
+			// A single scalar is a one-element list; commas split.
+			var out []string
+			for _, s := range strings.Split(n.scalar, ",") {
+				if s = strings.TrimSpace(s); s != "" {
+					out = append(out, s)
+				}
 			}
-		}
-		if !found {
-			d.fail(n.keyLines[i], "%s: unknown key %q (known keys: %s)", context, k, strings.Join(known, ", "))
-			return
-		}
-	}
-}
-
-func (d *decoder) str(n *node, context string) string {
-	if n.kind != scalarNode {
-		d.fail(n.line, "%s: expected a scalar, got a %s", context, n.kindName())
-		return ""
-	}
-	return n.scalar
-}
-
-func (d *decoder) strs(n *node, context string) []string {
-	switch n.kind {
-	case seqNode:
-		out := make([]string, 0, len(n.items))
-		for _, it := range n.items {
-			out = append(out, d.str(it, context))
-		}
-		return out
-	case scalarNode:
-		// A single scalar is a one-element list; commas split.
-		var out []string
-		for _, s := range strings.Split(n.scalar, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				out = append(out, s)
-			}
-		}
-		return out
-	default:
-		d.fail(n.line, "%s: expected a list of scalars", context)
-		return nil
-	}
-}
-
-func (d *decoder) num(n *node, context string) int {
-	s := d.str(n, context)
-	if d.err != nil {
-		return 0
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		d.fail(n.line, "%s: bad integer %q", context, s)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) float(n *node, context string) float64 {
-	s := d.str(n, context)
-	if d.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		d.fail(n.line, "%s: bad number %q", context, s)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) boolean(n *node, context string) bool {
-	switch s := d.str(n, context); s {
-	case "true", "yes", "on":
-		return true
-	case "false", "no", "off":
-		return false
-	default:
-		if d.err == nil {
-			d.fail(n.line, "%s: bad boolean %q (want true or false)", context, s)
-		}
-		return false
-	}
-}
-
-func (d *decoder) dur(n *node, context string) time.Duration {
-	s := d.str(n, context)
-	if d.err != nil {
-		return 0
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		d.fail(n.line, "%s: bad duration %q (want e.g. 500ms, 10s, 2m)", context, s)
-		return 0
-	}
-	if v < 0 {
-		d.fail(n.line, "%s: negative duration %q", context, s)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) seed(n *node, context string) uint64 {
-	s := d.str(n, context)
-	if d.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		d.fail(n.line, "%s: bad seed %q", context, s)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) scenario(root *node) *Scenario {
-	d.strict(root, "scenario",
-		"name", "description", "duration", "seed", "daemons", "fleet", "faults", "assertions")
-	if d.err != nil {
-		return nil
-	}
-	sc := &Scenario{}
-	if n := root.get("name"); n != nil {
-		sc.Name = d.str(n, "name")
-	}
-	if n := root.get("description"); n != nil {
-		sc.Description = d.str(n, "description")
-	}
-	if n := root.get("duration"); n != nil {
-		sc.Duration = d.dur(n, "duration")
-	}
-	if n := root.get("seed"); n != nil {
-		sc.Seed = d.seed(n, "seed")
-	}
-	if n := root.get("daemons"); n != nil {
-		sc.Daemons = d.daemons(n)
-	}
-	if n := root.get("fleet"); n != nil {
-		sc.Fleet = d.fleet(n)
-	}
-	if n := root.get("faults"); n != nil {
-		sc.Faults = d.faults(n)
-	}
-	if n := root.get("assertions"); n != nil {
-		sc.Assert = d.assertions(n)
-	}
-	return sc
-}
-
-func (d *decoder) daemons(n *node) DaemonSpec {
-	d.strict(n, "daemons",
-		"count", "benchmarks", "workers", "cache", "queue", "req_timeout", "warm", "fault_surface",
-		"nodes", "ring_replicas", "heartbeat", "dead_after", "sweep")
-	if d.err != nil {
-		return DaemonSpec{}
-	}
-	ds := DaemonSpec{Count: 1}
-	if c := n.get("count"); c != nil {
-		ds.Count = d.num(c, "daemons.count")
-	}
-	if c := n.get("benchmarks"); c != nil {
-		ds.Benchmarks = d.strs(c, "daemons.benchmarks")
-	}
-	if c := n.get("workers"); c != nil {
-		ds.Workers = d.num(c, "daemons.workers")
-	}
-	if c := n.get("cache"); c != nil {
-		ds.Cache = d.num(c, "daemons.cache")
-	}
-	if c := n.get("queue"); c != nil {
-		ds.Queue = d.num(c, "daemons.queue")
-	}
-	if c := n.get("req_timeout"); c != nil {
-		ds.ReqTimeout = d.dur(c, "daemons.req_timeout")
-	}
-	if c := n.get("warm"); c != nil {
-		ds.Warm = d.boolean(c, "daemons.warm")
-	}
-	if c := n.get("fault_surface"); c != nil {
-		ds.FaultSurface = d.boolean(c, "daemons.fault_surface")
-	}
-	if c := n.get("nodes"); c != nil {
-		ds.Nodes = d.num(c, "daemons.nodes")
-	}
-	if c := n.get("ring_replicas"); c != nil {
-		ds.RingReplicas = d.num(c, "daemons.ring_replicas")
-	}
-	if c := n.get("heartbeat"); c != nil {
-		ds.Heartbeat = d.dur(c, "daemons.heartbeat")
-	}
-	if c := n.get("dead_after"); c != nil {
-		ds.DeadAfter = d.dur(c, "daemons.dead_after")
-	}
-	if c := n.get("sweep"); c != nil {
-		ds.Sweep = d.dur(c, "daemons.sweep")
-	}
-	return ds
-}
-
-func (d *decoder) fleet(n *node) FleetSpec {
-	d.strict(n, "fleet", "clients", "startup", "templates", "retry")
-	if d.err != nil {
-		return FleetSpec{}
-	}
-	fs := FleetSpec{Startup: Startup{Pattern: "instant"}}
-	if c := n.get("clients"); c != nil {
-		fs.Clients = d.num(c, "fleet.clients")
-	}
-	if c := n.get("startup"); c != nil {
-		fs.Startup = d.startup(c)
-	}
-	if c := n.get("templates"); c != nil {
-		if c.kind != seqNode {
-			d.fail(c.line, "fleet.templates: expected a sequence of templates")
-			return fs
-		}
-		for _, it := range c.items {
-			fs.Templates = append(fs.Templates, d.template(it))
-		}
-	}
-	if c := n.get("retry"); c != nil {
-		fs.Retry = d.retry(c)
-	}
-	return fs
-}
-
-func (d *decoder) retry(n *node) RetrySpec {
-	d.strict(n, "fleet.retry", "max", "base", "cap")
-	if d.err != nil {
-		return RetrySpec{}
-	}
-	var rs RetrySpec
-	if c := n.get("max"); c != nil {
-		rs.Max = d.num(c, "fleet.retry.max")
-	}
-	if c := n.get("base"); c != nil {
-		rs.Base = d.dur(c, "fleet.retry.base")
-	}
-	if c := n.get("cap"); c != nil {
-		rs.Cap = d.dur(c, "fleet.retry.cap")
-	}
-	return rs
-}
-
-func (d *decoder) startup(n *node) Startup {
-	d.strict(n, "fleet.startup", "pattern", "duration", "batches")
-	if d.err != nil {
-		return Startup{}
-	}
-	st := Startup{Pattern: "instant"}
-	if c := n.get("pattern"); c != nil {
-		st.Pattern = d.str(c, "fleet.startup.pattern")
-	}
-	if c := n.get("duration"); c != nil {
-		st.Duration = d.dur(c, "fleet.startup.duration")
-	}
-	if c := n.get("batches"); c != nil {
-		st.Batches = d.num(c, "fleet.startup.batches")
-	}
-	return st
-}
-
-func (d *decoder) template(n *node) Template {
-	d.strict(n, "template", "name", "weight", "bench", "policy", "endpoint", "requests", "think")
-	if d.err != nil {
-		return Template{}
-	}
-	t := Template{Endpoint: "simulate", Think: Think{Dist: "fixed", Mean: 100 * time.Millisecond}}
-	if c := n.get("name"); c != nil {
-		t.Name = d.str(c, "template.name")
-	}
-	if c := n.get("weight"); c != nil {
-		t.Weight = d.float(c, "template.weight")
-	}
-	if c := n.get("bench"); c != nil {
-		t.Bench = d.strs(c, "template.bench")
-	}
-	if c := n.get("policy"); c != nil {
-		t.Policy = d.strs(c, "template.policy")
-	}
-	if c := n.get("endpoint"); c != nil {
-		t.Endpoint = d.str(c, "template.endpoint")
-	}
-	if c := n.get("requests"); c != nil {
-		t.Requests = d.num(c, "template.requests")
-	}
-	if c := n.get("think"); c != nil {
-		t.Think = d.think(c)
-	}
-	return t
-}
-
-func (d *decoder) think(n *node) Think {
-	d.strict(n, "think", "dist", "mean", "min", "max")
-	if d.err != nil {
-		return Think{}
-	}
-	th := Think{Dist: "fixed"}
-	if c := n.get("dist"); c != nil {
-		th.Dist = d.str(c, "think.dist")
-	}
-	if c := n.get("mean"); c != nil {
-		th.Mean = d.dur(c, "think.mean")
-	}
-	if c := n.get("min"); c != nil {
-		th.Min = d.dur(c, "think.min")
-	}
-	if c := n.get("max"); c != nil {
-		th.Max = d.dur(c, "think.max")
-	}
-	return th
-}
-
-func (d *decoder) faults(n *node) []FaultEvent {
-	if n.kind != seqNode {
-		d.fail(n.line, "faults: expected a sequence of fault events")
-		return nil
-	}
-	var out []FaultEvent
-	for _, it := range n.items {
-		d.strict(it, "fault event", "at", "kind", "target", "point", "effect", "delay", "times", "restart", "heal")
-		if d.err != nil {
+			v.Set(reflect.ValueOf(out).Convert(t))
 			return nil
 		}
-		ev := FaultEvent{Times: 1}
-		if c := it.get("at"); c != nil {
-			ev.At = d.dur(c, "fault.at")
+		if n.kind != seqNode {
+			return errAt(file, n.line, "%s: expected a sequence, got a %s", path, n.kindName())
 		}
-		if c := it.get("kind"); c != nil {
-			ev.Kind = d.str(c, "fault.kind")
+		elem := strings.TrimSuffix(path[strings.LastIndex(path, ".")+1:], "s")
+		s := reflect.MakeSlice(t, len(n.items), len(n.items))
+		for i, it := range n.items {
+			if err := decode(file, it, s.Index(i), elem); err != nil {
+				return err
+			}
 		}
-		if c := it.get("target"); c != nil {
-			ev.Target = d.num(c, "fault.target")
-		}
-		if c := it.get("point"); c != nil {
-			ev.Point = d.str(c, "fault.point")
-		}
-		if c := it.get("effect"); c != nil {
-			ev.Effect = d.str(c, "fault.effect")
-		}
-		if c := it.get("delay"); c != nil {
-			ev.Delay = d.dur(c, "fault.delay")
-		}
-		if c := it.get("times"); c != nil {
-			ev.Times = d.num(c, "fault.times")
-		}
-		if c := it.get("restart"); c != nil {
-			ev.Restart = d.boolean(c, "fault.restart")
-		}
-		if c := it.get("heal"); c != nil {
-			ev.Heal = d.dur(c, "fault.heal")
-		}
-		out = append(out, ev)
+		v.Set(s)
+		return nil
 	}
-	return out
+	if n.kind != scalarNode {
+		return errAt(file, n.line, "%s: expected a scalar, got a %s", path, n.kindName())
+	}
+	s := n.scalar
+	bad := func(what, hint string) error { return errAt(file, n.line, "%s: bad %s %q%s", path, what, s, hint) }
+	switch {
+	case t == durationType:
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return bad("duration", " (want e.g. 500ms, 10s, 2m)")
+		}
+		if d < 0 {
+			return errAt(file, n.line, "%s: negative duration %q", path, s)
+		}
+		v.SetInt(int64(d))
+	case t.Kind() == reflect.String:
+		v.SetString(s)
+	case t.Kind() == reflect.Bool:
+		switch s {
+		case "true", "yes", "on":
+			v.SetBool(true)
+		case "false", "no", "off":
+			v.SetBool(false)
+		default:
+			return bad("boolean", " (want true or false)")
+		}
+	case t.Kind() == reflect.Int || t.Kind() == reflect.Int64:
+		x, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return bad("integer", "")
+		}
+		v.SetInt(x)
+	case t.Kind() == reflect.Uint64:
+		x, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return bad("unsigned integer", "")
+		}
+		v.SetUint(x)
+	case t.Kind() == reflect.Float64:
+		x, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return bad("number", "")
+		}
+		v.SetFloat(x)
+	default:
+		return errAt(file, n.line, "%s: the schema has no decoder for %s", path, t)
+	}
+	return nil
 }
 
-func (d *decoder) assertions(n *node) Assertions {
-	d.strict(n, "assertions",
-		"max_p50", "max_p95", "max_p99", "max_error_rate", "min_cache_hit_rate",
-		"max_shed_rate", "min_shed", "max_recovery", "min_faults_injected",
-		"readyz_converged", "no_corrupt_artifacts",
-		"min_adoptions", "max_key_executions", "cluster_converged", "no_lost_jobs",
-		"replication_converged", "no_orphaned_artifacts", "settle")
-	if d.err != nil {
-		return Assertions{}
+// decodeStruct decodes mapping n into the struct v, strictly.
+func decodeStruct(file string, n *node, v reflect.Value, path string) error {
+	name := path
+	if name == "" {
+		name = "scenario"
 	}
-	var a Assertions
-	if c := n.get("max_p50"); c != nil {
-		a.MaxP50 = d.dur(c, "assertions.max_p50")
+	if n.kind != mapNode {
+		return errAt(file, n.line, "%s: expected a mapping, got a %s", name, n.kindName())
 	}
-	if c := n.get("max_p95"); c != nil {
-		a.MaxP95 = d.dur(c, "assertions.max_p95")
+	t := v.Type()
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		keys[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
 	}
-	if c := n.get("max_p99"); c != nil {
-		a.MaxP99 = d.dur(c, "assertions.max_p99")
+	for i, k := range n.keys {
+		if !slices.Contains(keys, k) {
+			return errAt(file, n.keyLines[i], "%s: unknown key %q (known keys: %s)", name, k, strings.Join(keys, ", "))
+		}
 	}
-	if c := n.get("max_error_rate"); c != nil {
-		v := d.float(c, "assertions.max_error_rate")
-		a.MaxErrorRate = &v
+	if def, ok := defaults[t]; ok {
+		v.Set(def)
+	} else {
+		v.SetZero()
 	}
-	if c := n.get("min_cache_hit_rate"); c != nil {
-		v := d.float(c, "assertions.min_cache_hit_rate")
-		a.MinHitRate = &v
+	for i, k := range keys {
+		if c := n.get(k); c != nil {
+			sub := k
+			if path != "" {
+				sub = path + "." + k
+			}
+			if err := decode(file, c, v.Field(i), sub); err != nil {
+				return err
+			}
+		}
 	}
-	if c := n.get("max_shed_rate"); c != nil {
-		v := d.float(c, "assertions.max_shed_rate")
-		a.MaxShedRate = &v
-	}
-	if c := n.get("min_shed"); c != nil {
-		v := int64(d.num(c, "assertions.min_shed"))
-		a.MinShed = &v
-	}
-	if c := n.get("max_recovery"); c != nil {
-		a.MaxRecovery = d.dur(c, "assertions.max_recovery")
-	}
-	if c := n.get("min_faults_injected"); c != nil {
-		v := int64(d.num(c, "assertions.min_faults_injected"))
-		a.MinInjected = &v
-	}
-	if c := n.get("readyz_converged"); c != nil {
-		v := d.boolean(c, "assertions.readyz_converged")
-		a.Converged = &v
-	}
-	if c := n.get("no_corrupt_artifacts"); c != nil {
-		v := d.boolean(c, "assertions.no_corrupt_artifacts")
-		a.NoCorrupt = &v
-	}
-	if c := n.get("min_adoptions"); c != nil {
-		v := int64(d.num(c, "assertions.min_adoptions"))
-		a.MinAdoptions = &v
-	}
-	if c := n.get("max_key_executions"); c != nil {
-		v := int64(d.num(c, "assertions.max_key_executions"))
-		a.MaxKeyExec = &v
-	}
-	if c := n.get("cluster_converged"); c != nil {
-		v := d.boolean(c, "assertions.cluster_converged")
-		a.ClusterOK = &v
-	}
-	if c := n.get("no_lost_jobs"); c != nil {
-		v := d.boolean(c, "assertions.no_lost_jobs")
-		a.NoLostJobs = &v
-	}
-	if c := n.get("replication_converged"); c != nil {
-		v := d.boolean(c, "assertions.replication_converged")
-		a.RepConverged = &v
-	}
-	if c := n.get("no_orphaned_artifacts"); c != nil {
-		v := d.boolean(c, "assertions.no_orphaned_artifacts")
-		a.NoOrphans = &v
-	}
-	if c := n.get("settle"); c != nil {
-		a.Settle = d.dur(c, "assertions.settle")
-	}
-	return a
+	return nil
 }
 
 // --- validation ---

@@ -252,18 +252,7 @@ func (r *Run) Simulate(label string) (*sim.Result, error) {
 
 // SimulatePolicy runs an explicit policy on the binary the label selects.
 func (r *Run) SimulatePolicy(label string, pol sim.Policy) (*sim.Result, error) {
-	if res, ok := r.cachedResult(label); ok {
-		return res, nil
-	}
-	tr, err := r.traceFor(r.binaryFor(label))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	res := sim.Simulate(sim.Input{Trace: tr, Policy: pol})
-	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	r.noteStage("sim", time.Since(start))
-	return r.storeResult(label, res), nil
+	return r.SimulateSpec(SimSpec{Run: r, Label: label, Policy: pol})
 }
 
 // artifactKey hashes an artifact's full identity: kind tag, compiler

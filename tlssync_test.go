@@ -240,8 +240,7 @@ func TestReproFig11Complementary(t *testing.T) {
 	// violations under the U (no stall) mode.
 	compOnly, hwOnly := false, false
 	for _, r := range runs {
-		res, err := r.simulateOn("base", "fig11-U",
-			sim.Policy{Name: "U", CompilerMarks: r.CompilerMarks()})
+		res, err := r.SimulateSpec(fig11Specs(r)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,5 +394,19 @@ func TestSeqSlowdownHelper(t *testing.T) {
 	}
 	if got := r.ProgramSpeedupWithSeqSlowdown(res, 0); got < plain*0.999 {
 		t.Errorf("factor 0 should clamp to identity, got %.3f", got)
+	}
+}
+
+// TestSimulateSpecNotesSimStage: a spec that forces its binary (Figure
+// 11's) is timed under stage "sim" like every other simulation, so it
+// reaches ConsumeStageTimes and tlsd's /stats.
+func TestSimulateSpecNotesSimStage(t *testing.T) {
+	r := runOf(t, "gzip_comp")
+	r.ConsumeStageTimes() // drop the compile and baseline stages
+	if _, err := r.SimulateSpec(fig11Specs(r)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if d := r.ConsumeStageTimes()["sim"]; d <= 0 {
+		t.Fatalf("stage sim = %v after a fig11 simulation, want > 0", d)
 	}
 }
