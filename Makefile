@@ -101,13 +101,16 @@ scenario-smoke:
 # 1000-client fleet — rolling restart of every node, a sixth node
 # joining, an original node decommissioning — twice at the same seed,
 # asserting zero lost jobs, exactly-once execution, post-roll replica
-# convergence, and byte-identical deterministic sections. The three
-# report files are the archived evidence.
+# convergence, and byte-identical deterministic sections. The
+# false-death proof slows one node's peer links past dead_after while
+# it is executing journaled work: its peers adopt that work while it
+# keeps running, and the execution lease still lets each key run once.
+# The four report files are the archived evidence.
 cluster-smoke:
 	mkdir -p bin
 	$(GO) build -race -o bin/tlsd ./cmd/tlsd
 	$(GO) build -race -o bin/tlssim ./cmd/tlssim
-	bin/tlssim validate scenarios/cluster-kill9-adoption.yaml scenarios/cluster-partition.yaml scenarios/cluster-rolling.yaml
+	bin/tlssim validate scenarios/cluster-kill9-adoption.yaml scenarios/cluster-partition.yaml scenarios/cluster-rolling.yaml scenarios/cluster-false-death.yaml
 	bin/tlssim run scenarios/cluster-kill9-adoption.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -o cluster-report.json -det cluster-det-a.json
 	bin/tlssim run scenarios/cluster-kill9-adoption.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -q -det cluster-det-b.json
 	cmp cluster-det-a.json cluster-det-b.json
@@ -115,6 +118,9 @@ cluster-smoke:
 	bin/tlssim run scenarios/cluster-rolling.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -o cluster-rolling-report.json -det cluster-rolling-det-a.json
 	bin/tlssim run scenarios/cluster-rolling.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -q -det cluster-rolling-det-b.json
 	cmp cluster-rolling-det-a.json cluster-rolling-det-b.json
+	bin/tlssim run scenarios/cluster-false-death.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -o cluster-false-death-report.json -det cluster-false-death-det-a.json
+	bin/tlssim run scenarios/cluster-false-death.yaml --seed $(SCENARIO_SEED) -tlsd bin/tlsd -q -det cluster-false-death-det-b.json
+	cmp cluster-false-death-det-a.json cluster-false-death-det-b.json
 
 # One benchmark per paper figure/table plus the ablations.
 bench:

@@ -1,15 +1,21 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"tlssync"
+	"tlssync/internal/fault"
 	"tlssync/internal/journal"
 	"tlssync/internal/store"
 )
@@ -36,11 +42,11 @@ type fleet struct {
 }
 
 // fleetNode builds (or reboots) one member. urls seeds static peer
-// addresses — used on reboot so the fence query has targets before
-// the detector's first round completes.
-func fleetNode(t *testing.T, id string, nodes []string, urls map[string]string, dir string, benches []string) *server {
+// addresses — used on reboot so recovery has peers to reach before the
+// detector's first round completes. opts adjust the config (faults).
+func fleetNode(t *testing.T, id string, nodes []string, urls map[string]string, dir string, benches []string, opts ...func(*config)) *server {
 	t.Helper()
-	s, err := newServer(config{
+	cfg := config{
 		workers:    1,
 		storeCap:   64,
 		cacheDir:   dir,
@@ -54,17 +60,37 @@ func fleetNode(t *testing.T, id string, nodes []string, urls map[string]string, 
 			heartbeat: testHeartbeat,
 			deadAfter: testDeadAfter,
 		},
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// withFaults gives a node a fault registry: the cluster.in/cluster.out
+// points and, through the job wrap, jobs.simulate.
+func withFaults(reg *fault.Registry) func(*config) {
+	return func(c *config) {
+		c.faults = reg
+		c.jobWrap = fault.WrapJobs(reg)
+	}
+}
+
 // newFleet starts n nodes (n0..n<n-1>), cross-wires their URLs, and
 // waits for full mutual liveness. disk=true gives each node a
 // journal-backed cache dir (required for adoption/fencing tests).
 func newFleet(t *testing.T, n int, disk bool, benches ...string) *fleet {
+	t.Helper()
+	return newFleetWith(t, n, disk, nil, benches...)
+}
+
+// newFleetWith is newFleet with per-node config options (opts[i], when
+// present, applies to node i).
+func newFleetWith(t *testing.T, n int, disk bool, opts []func(*config), benches ...string) *fleet {
 	t.Helper()
 	f := &fleet{t: t}
 	for i := 0; i < n; i++ {
@@ -76,7 +102,11 @@ func newFleet(t *testing.T, n int, disk bool, benches ...string) *fleet {
 			dir = filepath.Join(t.TempDir(), "cache")
 		}
 		f.dirs = append(f.dirs, dir)
-		s := fleetNode(t, f.ids[i], f.ids, nil, dir, benches)
+		var o []func(*config)
+		if i < len(opts) && opts[i] != nil {
+			o = append(o, opts[i])
+		}
+		s := fleetNode(t, f.ids[i], f.ids, nil, dir, benches, o...)
 		f.srvs = append(f.srvs, s)
 		f.ts = append(f.ts, httptest.NewServer(s))
 	}
@@ -205,6 +235,28 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
+// TestBumpEpochSurvivesCrashRename: the epoch file is written with
+// the durable-rename protocol, so a machine crash around its rename
+// keeps the new value — an empty epoch file would restart the boot
+// epoch (the lease's fencing token) at 1.
+func TestBumpEpochSurvivesCrashRename(t *testing.T) {
+	dir := t.TempDir()
+	reg := fault.NewRegistry()
+	fsys := &fault.FS{R: reg}
+	for want := uint64(1); want <= 2; want++ {
+		if got, err := bumpEpoch(fsys, dir); err != nil || got != want {
+			t.Fatalf("epoch = %d, %v; want %d", got, err, want)
+		}
+	}
+	reg.Arm("fs.rename", fault.Fault{Crash: true, Times: 1})
+	if got, err := bumpEpoch(fsys, dir); err != nil || got != 3 {
+		t.Fatalf("epoch across the crash = %d, %v; want 3", got, err)
+	}
+	if got, err := bumpEpoch(fsys, dir); err != nil || got != 4 {
+		t.Fatalf("epoch after the crash = %d, %v; want 4", got, err)
+	}
+}
+
 func TestBumpEpoch(t *testing.T) {
 	dir := t.TempDir()
 	for want := uint64(1); want <= 3; want++ {
@@ -305,54 +357,29 @@ func TestClusterQuorumFailClosed(t *testing.T) {
 
 // TestClusterAdoptionAndFence is the kill9→adopt→reboot cycle in
 // miniature: a journaled-pending job on n0 is gossiped, n0 dies, the
-// key's first alive successor adopts and executes it exactly once,
-// and the rebooted n0 (epoch bumped) fences the journal entry against
-// its peers' adoption records instead of re-running — then serves the
-// key by deferring to the adopter. Zero lost, zero double-executed.
+// key's first alive successor adopts it (journaling it as its own
+// Begin) and executes it exactly once, and the rebooted n0 (epoch
+// bumped) recovers its own journal entry through the execution lease —
+// whose majority read meets a member holding the adopter's committed
+// artifact — instead of re-running it. Zero lost, zero double-executed.
 func TestClusterAdoptionAndFence(t *testing.T) {
 	benches := []string{"synth-21", "synth-22", "synth-23", "synth-24"}
 	f := newFleet(t, 3, true, benches...)
 
 	bench, policy, akey := pickOwned(t, f.srvs[0], "n0", benches)
-	jkey := "test-pending-job"
+	jkey := "simulate/" + bench + "/" + policy
 	f.srvs[0].journal.Begin(journal.Record{Key: jkey, Kind: "simulate", Bench: bench, Label: policy})
-
-	// Wait until the survivors have gossiped n0's pending job — the
-	// adoption safety net only holds what heartbeats carried.
-	for _, i := range []int{1, 2} {
-		s := f.srvs[i]
-		waitCluster(t, "pending job gossiped", func() bool {
-			for _, p := range s.cluster.StatusNow().Peers {
-				if p.ID == "n0" && p.Pending >= 1 {
-					return true
-				}
-			}
-			return false
-		})
-	}
+	waitGossiped(t, f, 0, []int{1, 2})
 
 	f.kill(0)
 
 	// Exactly one survivor — the key's first alive successor — adopts
 	// and completes the job.
-	adoptions := func() (total, done int) {
-		for _, i := range []int{1, 2} {
-			for _, a := range f.srvs[i].cluster.Adoptions("n0") {
-				if a.Key == jkey {
-					total++
-					if a.Done {
-						done++
-					}
-				}
-			}
-		}
-		return
-	}
 	waitCluster(t, "job adopted and completed", func() bool {
-		_, done := adoptions()
+		_, done := f.adoptions(jkey, 1, 2)
 		return done == 1
 	})
-	if total, _ := adoptions(); total != 1 {
+	if total, _ := f.adoptions(jkey, 1, 2); total != 1 {
 		t.Fatalf("job adopted by %d nodes, want exactly 1", total)
 	}
 	if got := f.totalExecutions(akey); got != 1 {
@@ -360,31 +387,210 @@ func TestClusterAdoptionAndFence(t *testing.T) {
 	}
 
 	// Reboot n0 over the same cache dir. The journal still holds the
-	// pending entry; the epoch fence must commit it away instead of
-	// re-running it.
+	// pending entry; its recovery must find the adopter's artifact
+	// instead of re-running it.
 	f.reboot(0, benches)
 	s0 := f.srvs[0]
 	if got := s0.cluster.Epoch(); got != 2 {
 		t.Fatalf("rebooted epoch = %d, want 2", got)
 	}
-	waitCluster(t, "fenced journal entry committed away", func() bool {
+	waitCluster(t, "recovered journal entry committed", func() bool {
 		return len(s0.journal.Pending()) == 0
 	})
 	if got := s0.executionsSnapshot()[akey]; got != 0 {
-		t.Fatalf("rebooted n0 executed fenced job %d time(s), want 0", got)
+		t.Fatalf("rebooted n0 re-executed the adopted job %d time(s), want 0", got)
 	}
-
-	// The rebooted owner serves its key by deferring to the adopter
-	// (whose copy is warm) — never by computing a second time.
-	waitCluster(t, "rebooted node regains quorum", func() bool {
-		return len(s0.cluster.AliveIDs()) == 3
-	})
 	rec, _ := get(t, s0, fmt.Sprintf("/simulate?bench=%s&policy=%s", bench, policy))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("simulate on rebooted owner = %d: %s", rec.Code, rec.Body.String())
 	}
 	if got := f.totalExecutions(akey); got != 1 {
 		t.Fatalf("fleet executions after reboot+serve = %d, want 1", got)
+	}
+}
+
+// waitGossiped waits until every node in at has heartbeat-gossiped at
+// least one pending job of node from: adoption only holds what
+// heartbeats carried.
+func waitGossiped(t *testing.T, f *fleet, from int, at []int) {
+	t.Helper()
+	for _, i := range at {
+		s := f.srvs[i]
+		waitCluster(t, "pending job gossiped", func() bool {
+			for _, p := range s.cluster.StatusNow().Peers {
+				if p.ID == f.ids[from] && p.Pending >= 1 {
+					return true
+				}
+			}
+			return false
+		})
+	}
+}
+
+// adoptions counts the adoption records (and completed ones) for a
+// journal key across the given live nodes.
+func (f *fleet) adoptions(jkey string, nodes ...int) (total, done int) {
+	for _, i := range nodes {
+		if f.srvs[i] == nil {
+			continue
+		}
+		for _, a := range f.srvs[i].cluster.StatusNow().Adoptions {
+			if a.Key == jkey {
+				total++
+				if a.Done {
+					done++
+				}
+			}
+		}
+	}
+	return total, done
+}
+
+// TestClusterAdopterRestartFinishesJob: an adopter killed mid-adoption
+// finishes the job from its own journal when it restarts — the
+// adoption was journaled as its own Begin — and the job still executes
+// exactly once.
+func TestClusterAdopterRestartFinishesJob(t *testing.T) {
+	benches := []string{"synth-21", "synth-22", "synth-23", "synth-24"}
+	regs := []*fault.Registry{fault.NewRegistry(), fault.NewRegistry(), fault.NewRegistry()}
+	opts := []func(*config){withFaults(regs[0]), withFaults(regs[1]), withFaults(regs[2])}
+	f := newFleetWith(t, 3, true, opts, benches...)
+
+	bench, policy, akey := pickOwned(t, f.srvs[0], "n0", benches)
+	adopter := -1
+	for i, id := range f.ids {
+		if id == f.srvs[0].cluster.Ring().Successors(akey, 2)[1] {
+			adopter = i
+		}
+	}
+	// The adopter's simulation stalls long enough to be killed mid-run.
+	regs[adopter].Arm("jobs.simulate", fault.Fault{Latency: 2 * time.Second})
+	jkey := "simulate/" + bench + "/" + policy
+	f.srvs[0].journal.Begin(journal.Record{Key: jkey, Kind: "simulate", Bench: bench, Label: policy})
+	waitGossiped(t, f, 0, []int{1, 2})
+
+	f.kill(0)
+	waitCluster(t, "adoption journaled on the adopter", func() bool {
+		for _, p := range f.srvs[adopter].journal.Pending() {
+			if p.Record.Key == jkey {
+				return true
+			}
+		}
+		return false
+	})
+	f.kill(adopter)
+	// The last survivor has no quorum: nobody else may take the job.
+	time.Sleep(2 * testDeadAfter)
+
+	f.reboot(adopter, benches)
+	s := f.srvs[adopter]
+	waitCluster(t, "adopter finishes the job from its journal", func() bool {
+		return len(s.journal.Pending()) == 0
+	})
+	if _, ok := s.store.Get(akey); !ok {
+		t.Fatal("restarted adopter lacks the artifact")
+	}
+	if got := f.totalExecutions(akey); got != 1 {
+		t.Fatalf("fleet executions = %d, want exactly 1", got)
+	}
+}
+
+// TestClusterLeaseLapseDiscards: a holder whose renewals stop being
+// acknowledged (cluster.out fault armed mid-simulation) sees its lease
+// lapse and neither stores nor counts its result; the lapse is counted
+// apart in /cluster, and once the fault heals the job completes with
+// exactly one execution.
+func TestClusterLeaseLapseDiscards(t *testing.T) {
+	benches := []string{"gzip_comp"}
+	reg := fault.NewRegistry()
+	f := newFleetWith(t, 3, false, []func(*config){withFaults(reg)}, benches...)
+	s0 := f.srvs[0]
+	w, _ := s0.workload("gzip_comp")
+	var policy, akey string
+	for _, p := range policyLabels {
+		if k := tlssync.WorkloadArtifactKey("simulate", w, p); s0.cluster.Ring().Owner(k) == "n0" {
+			policy, akey = p, k
+			break
+		}
+	}
+	if akey == "" {
+		t.Skip("no gzip_comp policy owned by n0 on this ring")
+	}
+	if _, err := s0.run(context.Background(), "gzip_comp"); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan int, 1)
+	go func() {
+		rec, _ := get(t, s0, "/simulate?bench=gzip_comp&policy="+policy)
+		done <- rec.Code
+	}()
+	waitCluster(t, "n0 holds the lease", func() bool { return s0.cluster.HoldsLease(akey) })
+	reg.Arm("cluster.out", fault.Fault{Err: errors.New("injected partition")})
+	waitCluster(t, "lapse counted", func() bool { return s0.lapsesSnapshot()[akey] >= 1 })
+	for i, s := range f.srvs {
+		if _, ok := s.store.Get(akey); ok {
+			t.Fatalf("n%d stores the lapsed holder's result", i)
+		}
+	}
+	if got := f.totalExecutions(akey); got != 0 {
+		t.Fatalf("lapsed execution counted: executions = %d, want 0", got)
+	}
+	_, body := get(t, s0, "/cluster")
+	if !strings.Contains(string(body["lease_lapses"]), akey) {
+		t.Fatalf("/cluster lease_lapses = %s, want %s", body["lease_lapses"], akey)
+	}
+
+	reg.Disarm("cluster.out")
+	<-done
+	waitCluster(t, "job completes after the heal", func() bool { return f.totalExecutions(akey) == 1 })
+	time.Sleep(5 * testHeartbeat)
+	if got := f.totalExecutions(akey); got != 1 {
+		t.Fatalf("fleet executions = %d, want exactly 1", got)
+	}
+}
+
+// TestClusterArtifactRejectsBadKeys: the peer artifact endpoint only
+// lets well-formed artifact keys reach the store — a key naming a path
+// outside the cache dir answers 400 and touches nothing.
+func TestClusterArtifactRejectsBadKeys(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	s := fleetNode(t, "n0", []string{"n0", "n1"}, nil, dir, []string{"synth-11"})
+	defer s.Close()
+	victim := filepath.Join(root, "a", "victim")
+	if err := os.WriteFile(victim, []byte("outside"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"../escape", "../../escape", "../victim", "", "ABC"} {
+		req := httptest.NewRequest("POST", "/cluster/artifact?key="+url.QueryEscape(key), strings.NewReader(`{"x":1}`))
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, req)
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("POST key %q = %d, want 400", key, rr.Code)
+		}
+		rec, _ := get(t, s, "/cluster/artifact?key="+url.QueryEscape(key))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("GET key %q = %d, want 400", key, rec.Code)
+		}
+	}
+	for _, p := range []string{filepath.Join(root, "a", "escape"), filepath.Join(root, "escape")} {
+		if _, err := os.Stat(p); err == nil {
+			t.Fatalf("%s was written outside the cache dir", p)
+		}
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != "outside" {
+		t.Fatalf("file outside the cache dir was moved or changed: %q, %v", data, err)
+	}
+	// A well-formed key still round-trips.
+	k := store.Key("test", "ok")
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest("POST", "/cluster/artifact?key="+k, strings.NewReader(`{"x":1}`)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("POST valid key = %d", rr.Code)
+	}
+	if rec, _ := get(t, s, "/cluster/artifact?key="+k); rec.Code != http.StatusOK {
+		t.Fatalf("GET valid key = %d", rec.Code)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"tlssync"
 	"tlssync/internal/cluster"
+	"tlssync/internal/store"
 )
 
 // These tests exercise elastic membership end to end in one process:
@@ -207,47 +209,52 @@ func TestClusterDecommission(t *testing.T) {
 	}
 }
 
-// TestClusterInflight: the cross-node singleflight probe reflects the
-// computing/adopting state of a key.
-func TestClusterInflight(t *testing.T) {
-	s := fleetNode(t, "n0", []string{"n0", "n1"}, nil, "", []string{"synth-11"})
-	defer s.Close()
+// TestClusterSoleSurvivorRenewsLease: once its only peer is
+// decommissioned a node is a one-member cluster, and its own
+// acknowledgement is the renewal majority. A lease it holds stays valid
+// across several TTLs, and a cold /simulate completes with exactly one
+// execution and no lapse.
+func TestClusterSoleSurvivorRenewsLease(t *testing.T) {
+	f := newFleet(t, 2, false, "gzip_comp")
+	resp, err := http.Post(f.ts[1].URL+"/cluster/decommission", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("decommission = %d", resp.StatusCode)
+	}
+	s := f.srvs[0]
+	waitCluster(t, "n0 alone", func() bool { return len(s.cluster.Members()) == 1 })
+	f.kill(1)
 
-	w, _ := s.workload("synth-11")
+	ctx := context.Background()
+	l, err := s.cluster.AcquireLease(ctx, store.Key("sole-survivor"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(4 * s.cluster.LeaseTTL())
+	if !l.Valid() {
+		t.Fatal("a sole member's lease lapsed: its own renewals went uncounted")
+	}
+	if _, err := l.Commit(ctx, []byte(`{}`)); err != nil {
+		t.Fatalf("sole member commit: %v", err)
+	}
+	l.Release()
+
+	start := time.Now()
+	rec, _ := get(t, s, "/simulate?bench=gzip_comp&policy=C")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/simulate = %d %s", rec.Code, rec.Body.String())
+	}
+	t.Logf("cold /simulate took %v (lease TTL %v)", time.Since(start), s.cluster.LeaseTTL())
+	w, _ := s.workload("gzip_comp")
 	akey := tlssync.WorkloadArtifactKey("simulate", w, "C")
-
-	probe := func() bool {
-		rec, body := get(t, s, "/cluster/inflight?key="+akey)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/cluster/inflight = %d", rec.Code)
-		}
-		return string(body["computing"]) == "true"
+	if got := s.executionsSnapshot()[akey]; got != 1 {
+		t.Fatalf("executions = %d, want 1", got)
 	}
-	if probe() {
-		t.Fatal("idle key reported in flight")
-	}
-	s.markComputing(akey)
-	if !probe() {
-		t.Fatal("computing key not reported in flight")
-	}
-	s.markComputing(akey) // overlapping waiter
-	s.doneComputing(akey)
-	if !probe() {
-		t.Fatal("refcount dropped early")
-	}
-	s.doneComputing(akey)
-	if probe() {
-		t.Fatal("finished key still reported in flight")
-	}
-	s.markAdopting(akey, true)
-	if !probe() {
-		t.Fatal("adopting key not reported in flight")
-	}
-	s.markAdopting(akey, false)
-
-	rec, _ := get(t, s, "/cluster/inflight")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("inflight without key = %d, want 400", rec.Code)
+	if lapses := s.lapsesSnapshot(); len(lapses) != 0 {
+		t.Fatalf("lease lapses = %v, want none", lapses)
 	}
 }
 
@@ -289,15 +296,16 @@ func TestClusterAntiEntropy(t *testing.T) {
 
 	// With 2 nodes and 1 replica every key belongs on both: one hole in
 	// each direction.
-	s0.store.Put("key-only-on-n0", []byte(`{"a":1}`))
-	s1.store.Put("key-only-on-n1", []byte(`{"b":2}`))
+	onlyN0, onlyN1 := store.Key("test", "only-on-n0"), store.Key("test", "only-on-n1")
+	s0.store.Put(onlyN0, []byte(`{"a":1}`))
+	s1.store.Put(onlyN1, []byte(`{"b":2}`))
 
 	waitCluster(t, "hole pushed n0→n1", func() bool {
-		_, ok := s1.store.Get("key-only-on-n0")
+		_, ok := s1.store.Get(onlyN0)
 		return ok
 	})
 	waitCluster(t, "hole healed n1→n0", func() bool {
-		_, ok := s0.store.Get("key-only-on-n1")
+		_, ok := s0.store.Get(onlyN1)
 		return ok
 	})
 	// Both holes can be healed by n1's sweeper alone (it pulls what its

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"tlssync/internal/fault"
 	"tlssync/internal/jobs"
 	"tlssync/internal/journal"
+	"tlssync/internal/parallel"
 	"tlssync/internal/report"
 	"tlssync/internal/resilience"
 	"tlssync/internal/sim"
@@ -95,16 +97,10 @@ type server struct {
 	mu   sync.Mutex
 	runs map[string]*tlssync.Run // prepared benchmarks
 
-	// simDone caches each landed simulate execution's result by engine
-	// key. The engine serializes executions per key while they are in
-	// flight, but a request that warm-missed the store before an
-	// execution landed can reach the engine after that execution
-	// finished and left the inflight map — the cache turns that into a
-	// hit instead of a second execution of work that already happened.
-	// Bounded by (serving set × policies); results are shared read-only
-	// exactly as coalesced engine waiters already share them.
-	simDoneMu sync.Mutex
-	simDone   map[string]*sim.Result
+	// life ends at Close: the context of work that outlives any client
+	// (journal recovery, adoption, a lapsed execution going round again).
+	life    context.Context
+	endLife context.CancelFunc
 
 	// cluster-mode state (all nil when running single-node)
 	cluster     *cluster.Cluster
@@ -115,14 +111,7 @@ type server struct {
 // policyLabels are the named policies /simulate accepts.
 var policyLabels = []string{"U", "O", "T", "C", "E", "L", "H", "P", "B"}
 
-func isPolicy(label string) bool {
-	for _, l := range policyLabels {
-		if l == label {
-			return true
-		}
-	}
-	return false
-}
+func isPolicy(label string) bool { return slices.Contains(policyLabels, label) }
 
 // newServer builds the service. It does no compilation up front:
 // benchmarks are prepared on demand (coalesced per benchmark) and every
@@ -176,12 +165,12 @@ func newServer(cfg config) (*server, error) {
 		stop:      make(chan struct{}),
 		workloads: ws,
 		runs:      make(map[string]*tlssync.Run),
-		simDone:   make(map[string]*sim.Result),
 		eps:       make(map[string]*endpointStats),
 	}
+	s.life, s.endLife = context.WithCancel(context.Background())
 	// The cluster layer must exist before journal recovery runs: a
-	// rebooted cluster member fences its pending jobs against its
-	// peers' adoption records before re-running anything.
+	// rebooted cluster member's recovered jobs take execution leases
+	// like any other execution.
 	if cfg.cluster != nil {
 		if err := s.newCluster(cfg.cluster); err != nil {
 			return nil, err
@@ -212,7 +201,6 @@ func newServer(cfg config) (*server, error) {
 	if s.cluster != nil {
 		s.registerClusterHandlers()
 		s.cluster.Start()
-		s.resumeAdoptions()
 	}
 	// Counters sit outside the timeout wrapper so they observe the
 	// status the client actually received (504s included).
@@ -223,7 +211,7 @@ func newServer(cfg config) (*server, error) {
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // fs resolves the configured filesystem seam (nil means the real one),
-// so sidecar files (cluster epoch/members/adoptions) see the same
+// so sidecar files (cluster epoch/members) see the same
 // injected faults as the artifact store.
 func (s *server) fs() store.FS {
 	if s.cfg.fsys != nil {
@@ -243,6 +231,7 @@ func (s *server) BeginDrain() { s.gate.Drain() }
 // crash-only and converges from any exit via journal replay.
 func (s *server) Close() {
 	s.stopOnce.Do(func() {
+		s.endLife()
 		close(s.stop)
 		if s.cluster != nil {
 			s.cluster.Close()
@@ -288,7 +277,6 @@ func (s *server) recoverFromJournal() {
 	if openFor <= 0 {
 		openFor = time.Hour
 	}
-	var jobs []recoverable
 	for _, p := range s.journal.Pending() {
 		rec := p.Record
 		w, inSet := s.workload(rec.Bench)
@@ -310,64 +298,64 @@ func (s *server) recoverFromJournal() {
 		}
 		attempt := s.journal.Begin(rec)
 		s.cfg.logf("tlsd: journal: recovering %s (attempt %d of %d)", rec.Key, attempt, budget)
-		jobs = append(jobs, recoverable{rec: rec, w: w})
+		go s.recoverJob(rec, w)
 	}
-	if len(jobs) == 0 {
-		return
-	}
-	if s.cluster != nil {
-		// Cluster mode: fence against peer adoptions first (one
-		// background round-trip), then recover whatever is still ours.
-		go s.recoverFenced(jobs)
-		return
-	}
-	for _, j := range jobs {
-		go s.recoverJob(j.rec, j.w)
-	}
-}
-
-// recoverable is one journal-pending job that passed the poison and
-// serving-set filters and awaits (possibly fenced) re-execution.
-type recoverable struct {
-	rec journal.Record
-	w   *tlssync.Workload
 }
 
 // recoverJob completes one pending job in the background. If the
 // artifact already landed (the crash hit between the store Put and the
 // journal commit), recovery is just the missing commit; otherwise the
 // job re-runs through the exact path a live request would take, so a
-// client retry arriving mid-recovery coalesces with it.
+// client retry arriving mid-recovery coalesces with it — and in a
+// cluster its execution lease finds the copy a successor computed
+// while this node was down instead of running it again.
 func (s *server) recoverJob(rec journal.Record, w *tlssync.Workload) {
-	ctx := context.Background()
 	if _, ok := s.store.Get(tlssync.WorkloadArtifactKey("simulate", w, rec.Label)); ok {
 		s.journalCommit(rec.Key)
 		s.eng.NoteRecovered()
 		s.cfg.logf("tlsd: journal: %s already durable; recovered warm", rec.Key)
 		return
 	}
-	run, err := s.run(ctx, rec.Bench)
+	switch err := s.completeJob(rec); {
+	case errors.Is(err, cluster.ErrLanded):
+		s.eng.NoteRecovered()
+		s.cfg.logf("tlsd: journal: %s completed elsewhere in the cluster; recovered without re-running", rec.Key)
+	case err != nil:
+		s.cfg.logf("tlsd: journal: recovery of %s failed: %v", rec.Key, err)
+	default:
+		s.eng.NoteRecovered()
+		s.cfg.logf("tlsd: journal: recovered %s", rec.Key)
+	}
+}
+
+// completeJob drives one journaled job to completion as a waiting
+// lease acquirer: prepare its benchmark, then simulate until it has
+// executed here (nil) or its artifact turned up (cluster.ErrLanded).
+// Journal recovery and dead-node adoption both end here.
+func (s *server) completeJob(rec journal.Record) error {
+	run, err := s.run(s.life, rec.Bench)
 	if err != nil {
 		// A clean in-process failure is not crash-recovery work: commit it
-		// away and let the breakers own the failing key. Only a crash —
-		// which never reaches this line — leaves the job pending.
-		s.cfg.logf("tlsd: journal: recovery of %s failed to prepare: %v", rec.Key, err)
-		s.journalCommit(rec.Key)
-		return
-	}
-	if _, err := s.simulateSpec(ctx, run, rec.Bench, rec.Label); err != nil {
-		if errors.Is(err, errArtifactLanded) || errors.Is(err, errComputingElsewhere) {
-			// The work exists (or is in flight) on a chain peer; the
-			// intent was committed inside the job. Nothing to re-run.
-			s.eng.NoteRecovered()
-			s.cfg.logf("tlsd: journal: %s completed elsewhere in the cluster; recovered without re-running", rec.Key)
-			return
+		// away and let the breakers own the failing key. Only a crash (or
+		// shutdown) leaves the job pending.
+		if s.life.Err() == nil {
+			s.journalCommit(rec.Key)
 		}
-		s.cfg.logf("tlsd: journal: recovery of %s failed: %v", rec.Key, err)
-		return
+		return fmt.Errorf("prepare: %w", err)
 	}
-	s.eng.NoteRecovered()
-	s.cfg.logf("tlsd: journal: recovered %s", rec.Key)
+	for {
+		_, err := s.simulateSpec(s.life, run, rec.Bench, rec.Label, true)
+		if !errors.Is(err, cluster.ErrDeferred) {
+			return err
+		}
+		// Coalesced onto a request's execution that deferred to another
+		// lease holder: go round again as a waiting acquirer.
+		select {
+		case <-s.life.Done():
+			return s.life.Err()
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
 }
 
 // scrubLoop periodically verifies every disk-tier artifact's checksum,
@@ -443,28 +431,15 @@ func (s *server) run(ctx context.Context, name string) (*tlssync.Run, error) {
 	return v.(*tlssync.Run), nil
 }
 
-// prepareAll prepares the whole serving set. The fan-out itself uses
-// plain goroutines — only the inner compile jobs go through the engine
+// prepareAll prepares the whole serving set. The fan-out itself runs
+// outside the engine — only the inner compile jobs go through it
 // (s.run), so the worker pool is never held by a job that waits on
 // another job (that nesting deadlocks a 1-worker pool).
 func (s *server) prepareAll(ctx context.Context) ([]*tlssync.Run, error) {
-	runs := make([]*tlssync.Run, len(s.workloads))
-	errs := make([]error, len(s.workloads))
-	var wg sync.WaitGroup
-	for i, w := range s.workloads {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			runs[i], errs[i] = s.run(ctx, name)
-		}(i, w.Name)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return runs, nil
+	n := len(s.workloads)
+	return parallel.MapVals(ctx, n, n, func(ctx context.Context, i int) (*tlssync.Run, error) {
+		return s.run(ctx, s.workloads[i].Name)
+	})
 }
 
 // --- responses ---
@@ -762,8 +737,8 @@ func verifySummaries(b *tlssync.Build) map[string]verifySummary {
 
 // simPayloadBytes renders one simulation result to its stored (and
 // served) artifact bytes. Deterministic: the same result always
-// marshals to the same bytes, so job-side and handler-side Puts of the
-// same pair are idempotent.
+// marshals to the same bytes, so the bytes a handler serves equal the
+// bytes its job stored.
 func simPayloadBytes(run *tlssync.Run, bench, policy string, res *sim.Result) ([]byte, error) {
 	bar := report.RowsJSON([]report.Row{{Bars: []report.Bar{run.Bar(policy, res)}}})[0].Bars[0]
 	return store.Marshal(simPayload{
@@ -781,19 +756,54 @@ func simPayloadBytes(run *tlssync.Run, bench, policy string, res *sim.Result) ([
 	})
 }
 
+// execLease is the execution lease a simulation holds while it runs:
+// a cluster.Lease in cluster mode, noLease single-node.
+type execLease interface {
+	Commit(ctx context.Context, data []byte) ([]string, error)
+	Valid() bool
+	Release()
+}
+
+// noLease is the single-node execution lease. Every execution of a
+// pair already coalesces on the engine key, so there is nothing to
+// record: no map entry, journal record, fsync or network call.
+type noLease struct{}
+
+func (noLease) Commit(context.Context, []byte) ([]string, error) { return nil, nil }
+func (noLease) Valid() bool                                      { return true }
+func (noLease) Release()                                         {}
+
+// acquireLease takes the execution lease on akey for a simulation about
+// to run (the protocol is in internal/cluster/lease.go).
+// cluster.ErrLanded means the artifact already exists; with wait=false,
+// cluster.ErrDeferred means another node holds the key (or no majority
+// answered) and the caller must not wait for it.
+func (s *server) acquireLease(ctx context.Context, akey string, wait bool) (execLease, error) {
+	if s.cluster == nil {
+		return noLease{}, nil
+	}
+	l, err := s.cluster.AcquireLease(ctx, akey, wait)
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 // simulateSpec runs one (benchmark × policy) simulation through the
 // full durability stack: a per-pair circuit breaker, a journaled begin
 // (the write-ahead intent that makes the job recoverable after a
-// SIGKILL), and the coalescing engine. It submits exactly the spec
-// Prewarm would submit for the pair — same engine key, same
-// *sim.Result return — so a /simulate that joins an in-flight figure
-// prewarm (or vice versa, or a startup recovery) shares one type-safe
-// execution. The artifact Put and the journal commit both happen
-// INSIDE the job: when every waiter has given up (request deadline),
-// the execution continues detached and must still land its artifact
-// and retire its intent — otherwise a retry recomputes forever and a
-// restart re-recovers work that already finished.
-func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, policy string) (*sim.Result, error) {
+// SIGKILL), the coalescing engine, and — inside the job, right before
+// the simulation — the execution lease. It submits exactly the spec
+// Prewarm would submit for the pair (same engine key, same *sim.Result
+// return), so a /simulate, a figure prewarm and a startup recovery of
+// one pair share one type-safe execution. Lease commit, artifact Put
+// and journal commit happen INSIDE the job, so an execution whose
+// waiters all gave up still lands its artifact and retires its intent.
+//
+// On another node's lease a request (wait=false) defers at once —
+// cluster.ErrDeferred, answered 503 so the retry joins the holder —
+// while recovery and adoption (wait=true) wait the holder out.
+func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, policy string, wait bool) (*sim.Result, error) {
 	sp := run.LabelSpec(policy)
 	jkey := sp.Key()
 	bdone, err := s.breakers.Allow(jkey)
@@ -802,89 +812,66 @@ func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, poli
 	}
 	akey := tlssync.WorkloadArtifactKey("simulate", run.W, policy)
 	s.journalBegin(journal.Record{Key: jkey, Kind: "simulate", Bench: bench, Label: policy})
-	// Visible to peers via GET /cluster/inflight while the execution is
-	// in flight: a node that became this key's owner mid-execution
-	// (membership change) joins this run by proxy instead of starting
-	// a second one.
-	s.markComputing(akey)
-	defer s.doneComputing(akey)
-	v, err := s.eng.Do(ctx, jkey, func(context.Context) (any, error) {
-		// A caller that warm-missed the store before this key's execution
-		// landed can reach the engine after it finished: serve the landed
-		// result instead of executing the same work a second time.
-		s.simDoneMu.Lock()
-		prev := s.simDone[jkey]
-		s.simDoneMu.Unlock()
-		if prev != nil {
-			s.journalCommit(jkey)
-			return prev, nil
-		}
-		if s.cluster != nil {
-			// Late guard: this job may have sat in the admission or engine
-			// queue for a long time (deep backlogs, slow simulations), and
-			// the routing-time checks are stale by now. Re-check at the
-			// last moment — the artifact may have landed here via a replica
-			// push, or a chain peer's execution of the same key may already
-			// be underway; either way, running it again here is the
-			// double-compute the per-key execution counters catch.
-			if _, ok := s.store.Get(akey); ok {
+	v, err := s.eng.Do(ctx, jkey, func(jctx context.Context) (any, error) {
+		for {
+			lctx := jctx
+			if wait {
+				lctx = s.life // a waiting acquirer outlives its callers
+			}
+			lease, err := s.acquireLease(lctx, akey, wait)
+			if err != nil {
+				if errors.Is(err, cluster.ErrLanded) || errors.Is(err, cluster.ErrDeferred) {
+					// The artifact exists, or the lease holder produces it
+					// under its own journaled intent: retire ours.
+					s.journalCommit(jkey)
+				}
+				return nil, err
+			}
+			res, err := run.SimulateSpec(sp)
+			var data []byte
+			if err == nil {
+				for stage, d := range run.ConsumeStageTimes() {
+					s.eng.ObserveStage(stage, d)
+				}
+				data, err = simPayloadBytes(run, bench, policy, res)
+			}
+			if err != nil {
+				// A clean failure is not crash-recovery work: retire the
+				// intent and let the breaker own the failing key.
+				lease.Release()
 				s.journalCommit(jkey)
-				return nil, errArtifactLanded
+				return nil, err
 			}
-			// Purely local check, immune to partitions and open breakers:
-			// if a peer's adoption record fences this key (learned at
-			// journal replay), the adopter is executing it and this node
-			// must not. The one exception is mutual cross-adoption — the
-			// key was pending in both nodes' journals when both rolled, so
-			// each adopted the other's entry and each holds a fence naming
-			// the other; without a tiebreak both would defer forever. The
-			// lower node ID wins (both sides compare the same two IDs, so
-			// they agree on the winner).
-			if adopter, away := s.adoptedAwayTo(akey); away &&
-				!(s.isAdopting(akey) && s.cluster.Self() < adopter) {
-				s.journalCommit(jkey)
-				return nil, errComputingElsewhere
+			took, err := lease.Commit(lctx, data)
+			if err != nil || !lease.Valid() {
+				// The lease lapsed: a successor may already be running
+				// this key. Discard the result like a process killed
+				// mid-run — nothing stored, replicated, counted or
+				// committed — and go round again as a waiting acquirer,
+				// which finds the successor's artifact or re-acquires.
+				lease.Release()
+				s.noteLapse(akey)
+				s.cfg.logf("tlsd: lease on %s/%s lapsed before commit; result discarded", bench, policy)
+				wait = true
+				continue
 			}
-			if s.chainExecuting(akey) {
-				s.journalCommit(jkey)
-				return nil, errComputingElsewhere
-			}
-			s.markExecuting(akey)
-			defer s.doneExecuting(akey)
-		}
-		res, serr := run.SimulateSpec(sp)
-		if serr == nil {
-			for stage, d := range run.ConsumeStageTimes() {
-				s.eng.ObserveStage(stage, d)
-			}
-		}
-		if serr != nil {
-			// A clean failure is not crash-recovery work: retire the
-			// intent and let the breaker own the failing key.
-			s.journalCommit(jkey)
-			return nil, serr
-		}
-		if data, merr := simPayloadBytes(run, bench, policy, res); merr == nil {
 			s.store.Put(akey, data)
 			if s.cluster != nil {
-				// Committed: push copies to the ring successors so the
-				// artifact survives this node and a rebooted owner finds
-				// it by pull-on-miss.
-				s.cluster.ReplicateAsync(akey, data)
+				// Push copies to the ring successors the commit did not
+				// reach, so the artifact sits where the ring says.
+				s.cluster.ReplicateAsync(akey, data, took...)
 			}
+			s.noteExecution(akey)
+			s.journalCommit(jkey)
+			lease.Release()
+			return res, nil
 		}
-		s.simDoneMu.Lock()
-		s.simDone[jkey] = res
-		s.simDoneMu.Unlock()
-		s.noteExecution(akey)
-		s.journalCommit(jkey)
-		return res, nil
 	})
-	if errors.Is(err, errArtifactLanded) || errors.Is(err, errComputingElsewhere) {
-		// Deferrals are not failures: the work exists (or is being
-		// produced) elsewhere on the chain, the intent is already
-		// committed inside the job, and the breaker must not count
-		// strikes against a healthy key.
+	if errors.Is(err, cluster.ErrLanded) || errors.Is(err, cluster.ErrDeferred) {
+		// Neither is a failure: the work exists (or is being produced
+		// under another lease), the intent is already committed inside
+		// the job, and the breaker must not count strikes against a
+		// healthy key.
 		bdone(nil)
 		return nil, err
 	}
@@ -950,33 +937,35 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	res, err := s.simulateSpec(r.Context(), run, bench, policy)
+	res, err := s.simulateSpec(r.Context(), run, bench, policy, false)
 	if err != nil {
 		switch {
-		case errors.Is(err, errArtifactLanded):
-			// A chain peer computed this while our job was queued and the
-			// replica push landed: serve the landed artifact.
+		case errors.Is(err, cluster.ErrLanded):
+			// Another node computed this while our job was queued, and
+			// the lease read pulled it here: serve the landed artifact.
 			if data, ok := s.store.Get(key); ok {
 				w.Header().Set("X-Tlsd-Cache", "peer")
 				s.writeJSON(w, http.StatusOK, map[string]any{"cache": "peer", "result": json.RawMessage(data)})
 				return
 			}
 			s.writeError(w, err)
-		case errors.Is(err, errComputingElsewhere):
-			// The retry joins the peer's in-flight execution by proxy
-			// (routeSimulate probes chain inflight before computing).
-			s.shedCluster(w, "key is executing on a chain peer; a retry joins it")
+		case errors.Is(err, cluster.ErrDeferred):
+			// The retry joins the holder's execution by proxy (routeSimulate
+			// finds it in this node's lease table).
+			s.shedCluster(w, "key is executing under another node's lease; a retry joins it")
 		default:
 			s.writeError(w, err)
 		}
 		return
 	}
+	// The job stored the artifact under its lease. A result shared from
+	// a figure prewarm (no lease) is served but not stored; the next
+	// request for the key runs the memoized simulation under a lease.
 	data, err := simPayloadBytes(run, bench, policy, res)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.store.Put(key, data)
 	s.cfg.logf("tlsd: simulated %s/%s", bench, policy)
 	state := setCache(w, false)
 	s.writeJSON(w, http.StatusOK, map[string]any{"cache": state, "result": json.RawMessage(data)})

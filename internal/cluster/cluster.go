@@ -13,8 +13,8 @@ import (
 
 // Job is one journaled-pending unit of work as gossiped in
 // heartbeats: enough for a successor to re-run it from scratch (the
-// journal key for fencing, the artifact key for ring placement and
-// replica pulls, and the bench/label pair that regenerates the
+// journal key it re-begins under, the artifact key for ring placement
+// and the lease, and the bench/label pair that regenerates the
 // artifact deterministically).
 type Job struct {
 	Key   string `json:"key"`   // journal/engine key
@@ -29,7 +29,9 @@ type Job struct {
 // dies before committing. Members/MemberEpoch/URLs gossip the
 // versioned member set: a probe that sees a strictly higher member
 // epoch folds the new view in, which is how joins and decommissions
-// reach nodes that missed the direct broadcast.
+// reach nodes that missed the direct broadcast. Refused, in the answer
+// to a probe that carried lease renewals, names the renewals this
+// member did not accept.
 type Heartbeat struct {
 	Node        string            `json:"node"`
 	Epoch       uint64            `json:"epoch"`
@@ -38,23 +40,19 @@ type Heartbeat struct {
 	Members     []string          `json:"members,omitempty"`
 	MemberEpoch uint64            `json:"member_epoch,omitempty"`
 	URLs        map[string]string `json:"urls,omitempty"`
+	Refused     []string          `json:"refused,omitempty"`
 }
 
-// Adoption records one job taken over from a dead peer. Epoch is the
-// dead node's boot epoch as of its last heartbeat: when that node
-// reboots (with a higher epoch) and replays its journal, it queries
-// peers for adoptions recorded against any earlier epoch and commits
-// those entries away instead of re-running them — the fence that
-// makes kill→adopt→reboot execute each job exactly once.
+// Adoption records one job taken over from a dead peer (Epoch is the
+// dead node's boot epoch as of its last heartbeat). The record is
+// operator evidence only: the adopter journals the job as its own
+// Begin, and the execution lease keeps the rebooted owner from running
+// it a second time. Done flips once the artifact exists.
 type Adoption struct {
 	Job
 	From  string `json:"from"`
 	Epoch uint64 `json:"epoch"`
 	Done  bool   `json:"done"`
-	// Adopter is filled in by the HTTP layer when answering a fence
-	// query (the answering node is the adopter), so a rebooted node
-	// knows where each of its keys went.
-	Adopter string `json:"adopter,omitempty"`
 }
 
 // Config wires a Cluster to its daemon. Only Self and Nodes are
@@ -77,14 +75,6 @@ type Config struct {
 	// change) so a rebooted node resumes the dynamic membership even
 	// though its -peers flag still names the boot-time set.
 	MembersFile string
-	// AdoptionsFile, when set, persists this node's adoption records
-	// ([]Adoption JSON, written atomically on every change) so a
-	// rebooted adopter still answers fence queries for work it took
-	// over in an earlier incarnation. Without it a restarted adopter
-	// forgets its records and a rebooted owner's fence query falls
-	// back to fail-open — safe against loss, but open to re-running
-	// work that was already done.
-	AdoptionsFile string
 
 	// URLs maps node id → base URL (http://host:port). Entries may be
 	// missing at boot (peers not yet started); PeersFile supplements
@@ -106,10 +96,14 @@ type Config struct {
 	// incremented by the daemon at every start; 0 is treated as 1).
 	Epoch uint64
 
-	HeartbeatEvery time.Duration // probe period (<=0: 500ms)
-	DeadAfter      time.Duration // silence before a peer is dead (<=0: 4×heartbeat)
+	// HeartbeatEvery is the probe period, which is also the lease
+	// renewal period (<=0: 500ms). DeadAfter is the silence before a
+	// peer is dead (<=0: 4×heartbeat); execution leases expire
+	// DeadAfter/2 after their last renewal.
+	HeartbeatEvery time.Duration
+	DeadAfter      time.Duration
 
-	// FS is the filesystem seam used for the members/adoptions/peers
+	// FS is the filesystem seam used for the members/peers
 	// files (nil: store.OS). Chaos tests inject a fault.FS here so
 	// membership persistence sees the same injected failures as the
 	// artifact store.
@@ -149,7 +143,8 @@ type Config struct {
 	LocalKeys func() []string
 	// LocalGet returns one local artifact's bytes for a repair push.
 	LocalGet func(key string) ([]byte, bool)
-	// StoreLocal stores a pulled artifact (validation included).
+	// StoreLocal stores a pulled or lease-committed artifact
+	// (validation included).
 	StoreLocal func(key string, data []byte) error
 }
 
@@ -160,6 +155,7 @@ type peer struct {
 	everSeen bool      // at least one heartbeat ever succeeded
 	alive    bool      // last declared state (transitions are logged/acted on)
 	suspect  bool      // silent past DeadAfter/2 but not yet dead (no adoption)
+	probing  bool      // a heartbeat to this peer is in flight
 	lastOK   time.Time // last successful heartbeat
 	epoch    uint64
 	status   string
@@ -185,6 +181,7 @@ type counters struct {
 type repTask struct {
 	akey string
 	data []byte
+	have []string // peers that already store it
 }
 
 // Cluster is one node's membership, routing, and failure-detection
@@ -199,9 +196,13 @@ type Cluster struct {
 	peers       map[string]*peer
 	fileAddrs   map[string]string // every "id url" the peersfile ever named
 	adoptions   []Adoption
-	adopted     map[string]bool // journal keys already adopted (dedupe across ticks)
+	adopted     map[string]bool // "node@epoch/key" already adopted (dedupe across ticks)
 	fileMtime   time.Time
 	ctr         counters
+	leases      map[string]map[string]memberLease // member lease table: key → holder → record
+	held        map[string]*Lease                 // leases this node holds
+	closed      bool                              // Close began: no new background calls
+	bg          sync.WaitGroup                    // heartbeat probes and lease releases in flight
 
 	sendQ     chan repTask
 	senderWG  sync.WaitGroup
@@ -272,6 +273,8 @@ func New(cfg Config) (*Cluster, error) {
 		peers:       make(map[string]*peer),
 		fileAddrs:   make(map[string]string),
 		adopted:     make(map[string]bool),
+		leases:      make(map[string]map[string]memberLease),
+		held:        make(map[string]*Lease),
 		sendQ:       make(chan repTask, cfg.SendQueue),
 		sweepTrig:   make(chan struct{}, 1),
 		stop:        make(chan struct{}),
@@ -293,12 +296,6 @@ func New(cfg Config) (*Cluster, error) {
 	if c.memberEpoch > 0 {
 		c.saveMembersLocked()
 	}
-	// Adoption records survive the adopter's own restarts: the fence
-	// depends on the adopter answering for work it took over before
-	// it was itself rolled.
-	if err := c.loadAdoptionsFile(); err != nil {
-		cfg.Logf("cluster: adoptions file ignored: %v", err)
-	}
 	return c, nil
 }
 
@@ -317,11 +314,16 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Close stops the detector, senders, and sweeper and waits for them.
+// Close stops the detector, senders, and sweeper and waits for them
+// and for the probes and lease releases still in flight.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 	c.senderWG.Wait()
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.bg.Wait()
 }
 
 // Self returns this node's id.
@@ -399,40 +401,43 @@ func (c *Cluster) Quorum() bool {
 	return c.quorumLocked()
 }
 
-func (c *Cluster) quorumLocked() bool {
+func (c *Cluster) quorumLocked() bool { return 2*c.aliveCountLocked() > len(c.members) }
+
+// aliveCountLocked counts the members currently alive (self included).
+func (c *Cluster) aliveCountLocked() int {
 	alive := 0
 	for _, id := range c.members {
 		if c.aliveLocked(id) {
 			alive++
 		}
 	}
-	return 2*alive > len(c.members)
+	return alive
 }
 
-// ActingOwner returns the first *alive* node on the key's successor
-// chain — the node that should execute the key right now. With every
-// member alive this is the ring owner; when the owner is dead its
-// successor acts, and ownership snaps back the moment the owner
-// returns (the ring only changes on membership changes, never on
-// failure).
-func (c *Cluster) ActingOwner(akey string) (string, bool) {
+// Route decides where a cold /simulate for akey must run: the first
+// *alive* node on the key's successor chain. With every member alive
+// this is the ring owner; when the owner is dead its successor acts,
+// and ownership snaps back the moment the owner returns (the ring only
+// changes on membership changes, never on failure). ok=false means no
+// quorum: this node must shed the request (fail closed).
+func (c *Cluster) Route(akey string) (node string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.ring.Successors(akey, len(c.members)) {
-		if c.aliveLocked(id) {
-			return id, true
-		}
-	}
-	return "", false
-}
-
-// Route decides where a cold /simulate for akey must run. ok=false
-// means this node must shed the request (no quorum — fail closed).
-func (c *Cluster) Route(akey string) (node string, ok bool) {
-	if !c.Quorum() {
+	if !c.quorumLocked() {
 		return "", false
 	}
-	return c.ActingOwner(akey)
+	return c.actingOwnerLocked(akey), true
+}
+
+// actingOwnerLocked is the first alive node on akey's successor chain
+// (self is always alive from its own point of view).
+func (c *Cluster) actingOwnerLocked(akey string) string {
+	for _, id := range c.ring.Successors(akey, len(c.members)) {
+		if c.aliveLocked(id) {
+			return id
+		}
+	}
+	return c.cfg.Self
 }
 
 // HeartbeatPayload assembles this node's gossip answer, including the
@@ -445,53 +450,21 @@ func (c *Cluster) HeartbeatPayload() Heartbeat {
 	if c.cfg.LocalPending != nil {
 		hb.Pending = c.cfg.LocalPending()
 	}
-	c.mu.Lock()
-	hb.Members = append([]string(nil), c.members...)
-	hb.MemberEpoch = c.memberEpoch
-	hb.URLs = make(map[string]string, len(c.peers)+1)
-	if c.cfg.SelfURL != "" {
-		hb.URLs[c.cfg.Self] = c.cfg.SelfURL
-	}
-	for id, p := range c.peers {
-		if p.url != "" {
-			hb.URLs[id] = p.url
-		}
-	}
-	c.mu.Unlock()
+	v := c.View()
+	hb.Members, hb.MemberEpoch, hb.URLs = v.Members, v.MemberEpoch, v.URLs
 	return hb
 }
 
-// Adoptions returns recorded adoptions, filtered to jobs taken from
-// the given node id ("" returns all), most recent last.
-func (c *Cluster) Adoptions(from string) []Adoption {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Adoption, 0, len(c.adoptions))
-	for _, a := range c.adoptions {
-		if from == "" || a.From == from {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // MarkAdoptionDone flips the Done flag of the adoption holding the
-// given journal or artifact key (called by the daemon when the
-// adopted job's artifact is committed — by the adoption itself, by a
-// journal replay after the adopter's own restart, or by a replica
-// pull that landed the artifact another way).
+// given journal key (called by the daemon once the adopted job's
+// artifact exists).
 func (c *Cluster) MarkAdoptionDone(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	changed := false
 	for i := range c.adoptions {
-		if (c.adoptions[i].Key == key || c.adoptions[i].AKey == key) && !c.adoptions[i].Done {
+		if c.adoptions[i].Key == key {
 			c.adoptions[i].Done = true
-			changed = true
 		}
-	}
-	if changed {
-		c.saveAdoptionsLocked()
 	}
 }
 

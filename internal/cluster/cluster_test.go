@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,15 +10,14 @@ import (
 	"time"
 )
 
-// fakePeer is a minimal tlsd stand-in: it answers the two cluster
-// endpoints the detector and fence query hit.
+// fakePeer is a minimal tlsd stand-in: it answers the heartbeat
+// endpoint the detector probes.
 type fakePeer struct {
-	id        string
-	epoch     uint64
-	mu        sync.Mutex
-	pending   []Job
-	adoptions []Adoption
-	srv       *httptest.Server
+	id      string
+	epoch   uint64
+	mu      sync.Mutex
+	pending []Job
+	srv     *httptest.Server
 }
 
 func newFakePeer(t *testing.T, id string, epoch uint64) *fakePeer {
@@ -31,19 +29,6 @@ func newFakePeer(t *testing.T, id string, epoch uint64) *fakePeer {
 		hb := Heartbeat{Node: p.id, Epoch: p.epoch, Status: "ok", Pending: append([]Job(nil), p.pending...)}
 		p.mu.Unlock()
 		json.NewEncoder(w).Encode(hb)
-	})
-	mux.HandleFunc("/cluster/adoptions", func(w http.ResponseWriter, r *http.Request) {
-		p.mu.Lock()
-		ads := append([]Adoption(nil), p.adoptions...)
-		p.mu.Unlock()
-		from := r.URL.Query().Get("from")
-		out := []Adoption{}
-		for _, a := range ads {
-			if from == "" || a.From == from {
-				out = append(out, a)
-			}
-		}
-		json.NewEncoder(w).Encode(out)
 	})
 	p.srv = httptest.NewServer(mux)
 	t.Cleanup(p.srv.Close)
@@ -143,12 +128,12 @@ func TestDetectorAdoptsOnce(t *testing.T) {
 	if a.Key != "job-mine" || a.From != "n1" || a.Epoch != 3 {
 		t.Fatalf("adopted wrong job: %+v", a)
 	}
-	recs := c.Adoptions("n1")
+	recs := c.StatusNow().Adoptions
 	if len(recs) != 1 || recs[0].Key != "job-mine" || recs[0].Done {
 		t.Fatalf("adoption records wrong: %+v", recs)
 	}
 	c.MarkAdoptionDone("job-mine")
-	if recs := c.Adoptions("n1"); !recs[0].Done {
+	if recs := c.StatusNow().Adoptions; !recs[0].Done {
 		t.Fatal("MarkAdoptionDone did not stick")
 	}
 }
@@ -196,68 +181,6 @@ func TestNoAdoptionWithoutQuorum(t *testing.T) {
 	}
 	if _, ok := c.Route("anything"); ok {
 		t.Fatal("Route succeeded without quorum — must fail closed")
-	}
-}
-
-// TestFencedKeys: the reboot fence returns exactly the keys peers
-// adopted from this node at an epoch below the current one.
-func TestFencedKeys(t *testing.T) {
-	n1 := newFakePeer(t, "n1", 1)
-	n2 := newFakePeer(t, "n2", 1)
-	n1.mu.Lock()
-	n1.adoptions = []Adoption{
-		{Job: Job{Key: "old-job"}, From: "n0", Epoch: 4},    // adopted while epoch-4 self was dead
-		{Job: Job{Key: "future-job"}, From: "n0", Epoch: 9}, // impossible in practice; must not fence
-		{Job: Job{Key: "other"}, From: "n3", Epoch: 2},      // someone else's
-	}
-	n1.mu.Unlock()
-
-	c, err := New(Config{
-		Self:  "n0",
-		Nodes: []string{"n0", "n1", "n2"},
-		URLs:  map[string]string{"n1": n1.srv.URL, "n2": n2.srv.URL},
-		Epoch: 5,
-		Logf:  t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	fenced, silent := c.FencedKeys(ctx)
-	if len(fenced) != 1 {
-		t.Fatalf("fenced = %v, want exactly {old-job}", fenced)
-	}
-	if a, ok := fenced["old-job"]; !ok || a.Epoch != 4 {
-		t.Fatalf("fenced = %v, want old-job@4", fenced)
-	}
-	if len(silent) != 0 {
-		t.Fatalf("silent = %v, want none (both peers answered)", silent)
-	}
-}
-
-// TestFencedKeysNoPeers: with every peer unreachable the fence query
-// gives up at the deadline and recovery proceeds un-fenced.
-func TestFencedKeysNoPeers(t *testing.T) {
-	c, err := New(Config{
-		Self:   "n0",
-		Nodes:  []string{"n0", "n1"},
-		URLs:   map[string]string{"n1": "http://127.0.0.1:1"}, // nothing listens
-		Epoch:  2,
-		Logf:   t.Logf,
-		Client: &http.Client{Timeout: 100 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	fenced, silent := c.FencedKeys(ctx)
-	if len(fenced) != 0 {
-		t.Fatalf("fenced = %v, want empty", fenced)
-	}
-	if len(silent) != 1 || silent[0] != "n1" {
-		t.Fatalf("silent = %v, want [n1] (the unreachable peer is named)", silent)
 	}
 }
 

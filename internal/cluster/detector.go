@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"tlssync/internal/store"
@@ -14,9 +14,10 @@ import (
 
 // detectorLoop is the failure detector: every HeartbeatEvery it
 // re-reads the peers file (ports change when tlssim restarts a
-// node), probes every peer's /cluster/heartbeat in parallel, and
-// declares peers dead after DeadAfter of silence. Death transitions
-// trigger adoption of the dead node's last-gossiped pending jobs.
+// node), probes every peer's /cluster/heartbeat in parallel (each
+// probe carrying this node's lease renewals), and declares peers dead
+// after DeadAfter of silence. Death transitions trigger adoption of
+// the dead node's last-gossiped pending jobs.
 //
 // Detection is pull-based on purpose: a node that cannot *answer*
 // probes (wedged, partitioned, SIGKILLed) looks exactly like one
@@ -89,40 +90,49 @@ func (c *Cluster) reloadPeersFile() {
 	c.mu.Unlock()
 }
 
-// probeAll heartbeats every addressable peer concurrently and waits
-// for the round to finish (the HTTP client timeout bounds the wait,
-// so a blackholed peer cannot stall the loop past it).
+// probeAll starts one heartbeat to every addressable peer that has
+// none in flight, without waiting for the answers: a peer that is slow
+// to answer must not stretch the probe period of the others. Each probe
+// carries this node's lease renewals; an answer that does not refuse a
+// renewal acknowledges it (see renewalRound).
 func (c *Cluster) probeAll() {
 	c.mu.Lock()
-	targets := make([]*peer, 0, len(c.peers))
-	for _, p := range c.peers {
-		if p.url != "" {
-			targets = append(targets, p)
-		}
+	defer c.mu.Unlock()
+	if c.closed {
+		return
 	}
-	c.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, p := range targets {
-		wg.Add(1)
+	c.liveLeasesLocked("") // prune expired records
+	rd := c.startRenewalLocked()
+	body, err := json.Marshal(rd.recs)
+	if err != nil {
+		return
+	}
+	for _, p := range c.peers {
+		if p.url == "" || p.probing {
+			continue
+		}
+		p.probing = true
+		c.bg.Add(1)
 		go func(p *peer) {
-			defer wg.Done()
-			c.probe(p)
+			defer c.bg.Done()
+			c.probe(p, body, rd)
 		}(p)
 	}
-	wg.Wait()
 }
 
 // probe fetches one peer's heartbeat and folds it into the view —
-// liveness, pending gossip, and any strictly newer member-set view
-// the peer has seen (how joins/decommissions reach nodes the direct
-// broadcast missed).
-func (c *Cluster) probe(p *peer) {
-	hb, err := c.fetchHeartbeat(p)
+// liveness, pending gossip, lease renewal acknowledgements, and any
+// strictly newer member-set view the peer has seen (how
+// joins/decommissions reach nodes the direct broadcast missed).
+func (c *Cluster) probe(p *peer, body []byte, rd *renewalRound) {
+	hb, err := c.fetchHeartbeat(p, body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	p.probing = false
 	if err != nil {
 		return // sweepDead decides when silence becomes death
 	}
+	c.ackRenewalLocked(rd, hb.Refused)
 	if p.everSeen && hb.Epoch > p.epoch {
 		c.cfg.Logf("cluster: peer %s rebooted (epoch %d → %d)", p.id, p.epoch, hb.Epoch)
 	}
@@ -151,21 +161,9 @@ func (c *Cluster) probe(p *peer) {
 	}
 }
 
-func (c *Cluster) fetchHeartbeat(p *peer) (*Heartbeat, error) {
-	if err := c.fire(); err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.Client.Get(p.url + "/cluster/heartbeat")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("heartbeat %s: status %d", p.id, resp.StatusCode)
-	}
+func (c *Cluster) fetchHeartbeat(p *peer, body []byte) (*Heartbeat, error) {
 	var hb Heartbeat
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb); err != nil {
+	if err := c.peerCall(context.Background(), http.MethodPost, p.url+"/cluster/heartbeat", body, &hb); err != nil {
 		return nil, err
 	}
 	if hb.Node != p.id {
@@ -212,27 +210,23 @@ func (c *Cluster) sweepDead() {
 			p.id, silent.Round(time.Millisecond), len(p.pending))
 		if !c.quorumLocked() {
 			c.cfg.Logf("cluster: no quorum (%d/%d alive) — not adopting from %s",
-				len(c.members)-c.deadCountLocked(), len(c.members), p.id)
+				c.aliveCountLocked(), len(c.members), p.id)
 			continue
 		}
 		for _, job := range p.pending {
-			if c.adopted[job.Key] {
+			// One adoption per (dead incarnation, job): a flapping pending
+			// list never re-adopts, a later death of another node does.
+			id := fmt.Sprintf("%s@%d/%s", p.id, p.epoch, job.Key)
+			if c.adopted[id] {
 				continue
 			}
 			// Adopt only what this node is now acting owner of; the
 			// other survivors run the same rule over the same gossip, so
 			// each orphan lands on exactly one successor.
-			owner := ""
-			for _, id := range c.ring.Successors(job.AKey, len(c.members)) {
-				if c.aliveLocked(id) {
-					owner = id
-					break
-				}
-			}
-			if owner != c.cfg.Self {
+			if c.actingOwnerLocked(job.AKey) != c.cfg.Self {
 				continue
 			}
-			c.adopted[job.Key] = true
+			c.adopted[id] = true
 			c.adoptions = append(c.adoptions, Adoption{Job: job, From: p.id, Epoch: p.epoch})
 			orphans = append(orphans, orphan{job: job, from: p.id, epoch: p.epoch})
 		}
@@ -240,9 +234,6 @@ func (c *Cluster) sweepDead() {
 		// another survivor's responsibility. A later heartbeat from a
 		// rebooted incarnation repopulates the list.
 		p.pending = nil
-	}
-	if len(orphans) > 0 {
-		c.saveAdoptionsLocked()
 	}
 	c.mu.Unlock()
 	for _, o := range orphans {
@@ -252,14 +243,4 @@ func (c *Cluster) sweepDead() {
 			c.cfg.Adopt(o.job, o.from, o.epoch)
 		}
 	}
-}
-
-func (c *Cluster) deadCountLocked() int {
-	n := 0
-	for _, p := range c.peers {
-		if !p.alive {
-			n++
-		}
-	}
-	return n
 }

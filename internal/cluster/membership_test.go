@@ -337,6 +337,41 @@ func TestBoundedSender(t *testing.T) {
 	}
 }
 
+// TestReplicateSkipsCommitted: a replica that already took the
+// artifact as a lease commit gets no second push; the others do.
+func TestReplicateSkipsCommitted(t *testing.T) {
+	var mu sync.Mutex
+	got := map[string]int{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/cluster/artifact", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got[r.URL.Query().Get("key")]++
+		mu.Unlock()
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	c := newTestCluster(t, "n0", []string{"n0", "n1"}, func(cfg *Config) {
+		cfg.URLs = map[string]string{"n1": srv.URL}
+		cfg.Replicas = 1
+		cfg.SendQueue = 4
+	})
+	c.ReplicateAsync("committed", []byte(`{}`), "n1")
+	c.ReplicateAsync("pushed", []byte(`{}`))
+	c.Start()
+	waitFor(t, "queue drained", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return got["pushed"] == 1 && len(c.sendQ) == 0
+	})
+	c.Close() // waits for the senders to finish the task in hand
+	if got["committed"] != 0 {
+		t.Fatalf("n1 took the commit but was pushed %d more time(s)", got["committed"])
+	}
+	if st := c.StatusNow(); st.Replication["pushed"] != 1 {
+		t.Fatalf("replication counters: %v", st.Replication)
+	}
+}
+
 // TestBoundedSenderOverflow: with no senders draining, a tiny queue
 // overflows into the dropped counter without ever blocking.
 func TestBoundedSenderOverflow(t *testing.T) {

@@ -7,19 +7,18 @@
 // committed artifacts to ring successors, and runs a failure detector
 // whose heartbeats gossip each node's journaled-pending jobs so that
 // a dead node's unfinished work is adopted by its ring successor.
-// Adoption is fenced by a per-node boot epoch: a rebooted node asks
-// its peers what was adopted from it and commits those journal
-// entries away instead of double-running them.
+// Every execution — requested, recovered or adopted — first takes a
+// quorum-acknowledged execution lease (lease.go), so no key runs twice
+// however the adopters, the rebooted owner and late requests race.
 //
 // The layer leans on two properties the rest of the repo already
 // guarantees: artifacts are immutable and self-verifying (SHA-256
 // content addressing, internal/store), so replication needs no
 // versioning or conflict handling — any copy is the copy; and jobs
 // are deterministic and idempotent (same key → byte-identical
-// artifact), so the rare double-execution during a partition wastes
-// cycles but can never corrupt state. The fencing and single-owner
-// routing exist to make double-execution *observably absent* in the
-// common failure modes, not because it would be unsafe.
+// artifact), so a double execution would waste cycles but could never
+// corrupt state. The lease and single-owner routing exist to make
+// double-execution *absent*, not because it would be unsafe.
 package cluster
 
 import (
@@ -42,7 +41,7 @@ const DefaultVNodes = 384
 // membership changes build a new Ring (they are rare — a config
 // change, not a failure — and immutability makes concurrent readers
 // free). Failure handling does NOT rebuild the ring: dead nodes stay
-// on the ring and routing walks past them (see Cluster.ActingOwner),
+// on the ring and routing walks past them (see Cluster.Route),
 // so keys move back to their home node the moment it returns.
 type Ring struct {
 	nodes  []string // sorted member ids

@@ -2,17 +2,17 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
+	"net/http"
+	"slices"
 	"time"
+
+	"tlssync/internal/store"
 )
 
 // Anti-entropy: replication pushes are asynchronous and bounded, so
 // holes happen — a push dropped on a full queue, a replica that was
-// down, a membership change that moved a chain. The sweeper converts
-// those holes from "repaired the next time the key is touched"
-// (pull-on-miss) to "repaired within one sweep": every SweepEvery it
+// down, a membership change that moved a chain. The sweeper repairs
+// those holes within one sweep: every SweepEvery it
 // exchanges key digests with each alive peer, pushes the artifacts a
 // replica-chain member is missing, and pulls the holes in this
 // node's own chains. Membership changes nudge the sweeper
@@ -72,7 +72,7 @@ func (c *Cluster) sweepOnce() {
 			if repairs >= maxRepairsPerPeer {
 				break
 			}
-			if peerKeys[k] || !chainContains(ring, k, c.cfg.Replicas+1, t.id) {
+			if peerKeys[k] || !slices.Contains(ring.Successors(k, c.cfg.Replicas+1), t.id) {
 				continue
 			}
 			data, ok := c.localGet(k)
@@ -93,7 +93,7 @@ func (c *Cluster) sweepOnce() {
 				if repairs >= maxRepairsPerPeer {
 					break
 				}
-				if local[k] || !chainContains(ring, k, c.cfg.Replicas+1, c.cfg.Self) {
+				if local[k] || !slices.Contains(ring.Successors(k, c.cfg.Replicas+1), c.cfg.Self) {
 					continue
 				}
 				data, err := c.pullArtifact(context.Background(), t.url, k)
@@ -130,40 +130,20 @@ func (c *Cluster) localGet(key string) ([]byte, bool) {
 	return c.cfg.LocalGet(key)
 }
 
-// chainContains reports whether id is in key's replica chain of
-// length n on the given ring.
-func chainContains(r *Ring, key string, n int, id string) bool {
-	for _, m := range r.Successors(key, n) {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchDigest pulls one peer's key digest (GET /cluster/digest).
+// fetchDigest pulls one peer's key digest (GET /cluster/digest),
+// dropping any key that is not a well-formed artifact key.
 func (c *Cluster) fetchDigest(base string) (map[string]bool, error) {
-	if err := c.fire(); err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.Client.Get(base + "/cluster/digest")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("digest: status %d", resp.StatusCode)
-	}
 	var ans struct {
 		Keys []string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&ans); err != nil {
+	if err := c.peerCall(context.Background(), http.MethodGet, base+"/cluster/digest", nil, &ans); err != nil {
 		return nil, err
 	}
 	out := make(map[string]bool, len(ans.Keys))
 	for _, k := range ans.Keys {
-		out[k] = true
+		if store.ValidKey(k) { // a peer's digest is untrusted input
+			out[k] = true
+		}
 	}
 	return out, nil
 }

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"tlssync/internal/store"
 )
 
 // digestPeer is a fake replica for the anti-entropy sweeper: it
@@ -59,10 +61,14 @@ func newDigestPeer(t *testing.T, seed map[string][]byte) *digestPeer {
 // TestSweepOnce: one digest exchange pushes what the peer is missing,
 // pulls what this node is missing, and accounts both.
 func TestSweepOnce(t *testing.T) {
-	peer := newDigestPeer(t, map[string][]byte{"k-remote": []byte(`{"r":1}`)})
+	kRemote, kLocal := store.Key("test", "remote"), store.Key("test", "local")
+	peer := newDigestPeer(t, map[string][]byte{
+		kRemote:     []byte(`{"r":1}`),
+		"../escape": []byte(`{"x":1}`), // not an artifact key: never pulled
+	})
 
 	var mu sync.Mutex
-	local := map[string][]byte{"k-local": []byte(`{"l":1}`)}
+	local := map[string][]byte{kLocal: []byte(`{"l":1}`)}
 	c := newTestCluster(t, "n0", []string{"n0", "n1"}, func(cfg *Config) {
 		cfg.URLs = map[string]string{"n1": peer.srv.URL}
 		cfg.Replicas = 1 // 2-node chain: every key belongs on both nodes
@@ -95,16 +101,20 @@ func TestSweepOnce(t *testing.T) {
 	c.sweepOnce()
 
 	peer.mu.Lock()
-	pushed := string(peer.data["k-local"])
+	pushed := string(peer.data[kLocal])
 	peer.mu.Unlock()
 	if pushed != `{"l":1}` {
 		t.Fatalf("peer's hole not pushed: %q", pushed)
 	}
 	mu.Lock()
-	pulled := string(local["k-remote"])
+	pulled := string(local[kRemote])
+	_, escaped := local["../escape"]
 	mu.Unlock()
 	if pulled != `{"r":1}` {
 		t.Fatalf("local hole not pulled: %q", pulled)
+	}
+	if escaped {
+		t.Fatal("sweep pulled a digest key that is not a valid artifact key")
 	}
 	st := c.StatusNow()
 	if st.AntiEntropy["sweeps"] != 1 || st.AntiEntropy["repair_pushed"] != 1 || st.AntiEntropy["repair_pulled"] != 1 {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"time"
 )
@@ -32,15 +33,16 @@ func (c *Cluster) ReplicaSet(akey string) []string {
 }
 
 // ReplicateAsync queues a committed artifact for push to the key's
-// replica set. The queue is bounded: when it is full the push is
+// replica set, minus the peers in have (those that already took it as
+// a lease commit). The queue is bounded: when it is full the push is
 // dropped and accounted (replication_dropped), never blocking the
 // commit path — and the anti-entropy sweeper repairs the hole within
 // one sweep. Push targets are resolved at send time, so a push queued
 // mid-rebalance lands on the live chain.
-func (c *Cluster) ReplicateAsync(akey string, data []byte) {
+func (c *Cluster) ReplicateAsync(akey string, data []byte, have ...string) {
 	body := append([]byte(nil), data...) // detach from the caller's buffer
 	select {
-	case c.sendQ <- repTask{akey: akey, data: body}:
+	case c.sendQ <- repTask{akey: akey, data: body, have: have}:
 		c.mu.Lock()
 		c.ctr.repQueued++
 		c.mu.Unlock()
@@ -69,7 +71,7 @@ func (c *Cluster) senderLoop() {
 		case t := <-c.sendQ:
 			for _, id := range c.ReplicaSet(t.akey) {
 				u := c.PeerURL(id)
-				if u == "" {
+				if u == "" || slices.Contains(t.have, id) {
 					continue
 				}
 				err := c.pushArtifact(u, t.akey, t.data)
@@ -99,154 +101,46 @@ func (c *Cluster) senderLoop() {
 }
 
 func (c *Cluster) pushArtifact(base, akey string, data []byte) error {
-	if err := c.fire(); err != nil {
-		return err
-	}
-	resp, err := c.cfg.Client.Post(base+"/cluster/artifact?key="+url.QueryEscape(akey),
-		"application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// Pull fetches akey from the first replica that has it, walking the
-// *live* ring's successor chain (the member set may have changed
-// since boot), skipping self and dead peers. ok=false means no
-// reachable replica holds the artifact — the caller computes it.
-func (c *Cluster) Pull(ctx context.Context, akey string) ([]byte, bool) {
-	return c.pull(ctx, akey, false)
-}
-
-// PullAny is the last-resort form of Pull: it also probes chain
-// members currently flagged dead. The failure detector can be wrong
-// under load — a wedged-but-alive peer misses heartbeats past
-// DeadAfter while holding a committed artifact — and a probe to it
-// succeeds, while a probe to a truly dead peer fails fast with
-// connection refused. Reserved for recovery paths that are about to
-// pay for a re-execution: the callers for whom a false miss is the
-// expensive outcome.
-func (c *Cluster) PullAny(ctx context.Context, akey string) ([]byte, bool) {
-	return c.pull(ctx, akey, true)
-}
-
-func (c *Cluster) pull(ctx context.Context, akey string, includeDead bool) ([]byte, bool) {
-	c.mu.Lock()
-	chain := c.ring.Successors(akey, len(c.members))
-	c.mu.Unlock()
-	for _, id := range chain {
-		if id == c.cfg.Self {
-			continue
-		}
-		c.mu.Lock()
-		p, ok := c.peers[id]
-		reachable := ok && (p.alive || includeDead) && p.url != ""
-		base := ""
-		if ok {
-			base = p.url
-		}
-		c.mu.Unlock()
-		if !reachable {
-			continue
-		}
-		data, err := c.pullArtifact(ctx, base, akey)
-		if err != nil {
-			continue // miss or fault — try the next replica
-		}
-		return data, true
-	}
-	return nil, false
+	return c.peerCall(context.Background(), http.MethodPost, base+"/cluster/artifact?key="+url.QueryEscape(akey), data, nil)
 }
 
 func (c *Cluster) pullArtifact(ctx context.Context, base, akey string) ([]byte, error) {
-	if err := c.fire(); err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		base+"/cluster/artifact?key="+url.QueryEscape(akey), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var data []byte
+	err := c.peerCall(ctx, http.MethodGet, base+"/cluster/artifact?key="+url.QueryEscape(akey), nil, &data)
+	return data, err
 }
 
-// FencedKeys implements the reboot side of epoch fencing: it asks
-// every reachable peer which of this node's journal keys were
-// adopted at an epoch below the current one, retrying until the
-// context expires. The caller (journal recovery) commits those keys
-// away instead of re-running them.
-//
-// Best-effort by design: if not every peer answers before the
-// deadline, recovery proceeds on partial (or no) answers — jobs may
-// re-run, which wastes cycles but cannot corrupt anything (immutable
-// store) and is the correct fail-open choice for a node booting into
-// a dead or partitioned cluster. The returned silent list names the
-// peers that never answered, so the caller can log exactly which
-// journal keys recovered without a fence verdict — the audit trail
-// for a suspected double-run.
-func (c *Cluster) FencedKeys(ctx context.Context) (map[string]Adoption, []string) {
-	fenced := make(map[string]Adoption)
-	answered := make(map[string]bool)
-	for {
-		c.mu.Lock()
-		var targets []*peer
-		for _, p := range c.peers {
-			if p.url != "" && !answered[p.id] {
-				targets = append(targets, p)
-			}
-		}
-		c.mu.Unlock()
-		for _, p := range targets {
-			ads, err := c.fetchAdoptions(ctx, p.url)
-			if err != nil {
-				continue
-			}
-			answered[p.id] = true
-			for _, a := range ads {
-				if a.From == c.cfg.Self && a.Epoch < c.cfg.Epoch {
-					fenced[a.Key] = a
-				}
-			}
-		}
-		c.mu.Lock()
-		var silent []string
-		for _, p := range c.peers {
-			if !answered[p.id] {
-				silent = append(silent, p.id)
-			}
-		}
-		c.mu.Unlock()
-		if len(silent) == 0 {
-			return fenced, nil
-		}
-		select {
-		case <-ctx.Done():
-			sort.Strings(silent)
-			if len(answered) == 0 {
-				c.cfg.Logf("cluster: fence query: no peer answered — recovering un-fenced")
-			} else {
-				c.cfg.Logf("cluster: fence query: %d peer(s) silent (%v) — fencing on partial answers",
-					len(silent), silent)
-			}
-			return fenced, silent
-		case <-time.After(100 * time.Millisecond):
-			c.reloadPeersFile() // a peer may have just published its port
-		}
+// peerCall issues one peer request through the outbound fault seam
+// (the point partition and slow_peer scenarios arm). A non-200 answer
+// is an error; out, when non-nil, receives the answer body — raw into
+// a *[]byte, decoded JSON otherwise.
+func (c *Cluster) peerCall(ctx context.Context, method, u string, body []byte, out any) error {
+	if err := c.fire(); err != nil {
+		return err
 	}
+	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("%s %s: status %d", method, u, resp.StatusCode)
+	}
+	switch out := out.(type) {
+	case nil:
+		_, err = io.Copy(io.Discard, resp.Body)
+	case *[]byte:
+		*out, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	default:
+		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(out)
+	}
+	return err
 }
 
 // DecommissionHandoff pushes every local artifact to the replica
@@ -316,91 +210,13 @@ func (c *Cluster) BroadcastView(v MemberView) int {
 	}
 	acked := 0
 	for _, t := range targets {
-		if err := c.fire(); err != nil {
-			continue
-		}
-		resp, err := c.cfg.Client.Post(t.url+"/cluster/members", "application/json", bytes.NewReader(body))
-		if err != nil {
+		if err := c.peerCall(context.Background(), http.MethodPost, t.url+"/cluster/members", body, nil); err != nil {
 			c.cfg.Logf("cluster: member broadcast → %s: %v", t.id, err)
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == 200 {
-			acked++
-		}
+		acked++
 	}
 	return acked
-}
-
-// InflightAt asks one peer whether it is currently computing (or
-// adopting) akey — the cross-node singleflight probe. false on any
-// error: the caller computes locally, which is always safe.
-func (c *Cluster) InflightAt(id, akey string) bool {
-	return c.inflightAt(id, akey, false)
-}
-
-// ExecutingAt is the strict form of InflightAt: only an execution
-// whose simulation loop has actually started at the peer counts, not
-// work the peer merely holds in a queue. Queued work must not make
-// two nodes defer to each other.
-func (c *Cluster) ExecutingAt(id, akey string) bool {
-	return c.inflightAt(id, akey, true)
-}
-
-func (c *Cluster) inflightAt(id, akey string, execOnly bool) bool {
-	base := c.PeerURL(id)
-	if base == "" {
-		return false
-	}
-	if err := c.fire(); err != nil {
-		return false
-	}
-	q := "/cluster/inflight?key=" + url.QueryEscape(akey)
-	if execOnly {
-		q += "&exec=1"
-	}
-	resp, err := c.cfg.Client.Get(base + q)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		io.Copy(io.Discard, resp.Body)
-		return false
-	}
-	var ans struct {
-		Computing bool `json:"computing"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&ans); err != nil {
-		return false
-	}
-	return ans.Computing
-}
-
-func (c *Cluster) fetchAdoptions(ctx context.Context, base string) ([]Adoption, error) {
-	if err := c.fire(); err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		base+"/cluster/adoptions?from="+url.QueryEscape(c.cfg.Self), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var ads []Adoption
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&ads); err != nil {
-		return nil, err
-	}
-	return ads, nil
 }
 
 // PeerStatus is one row of the /cluster status answer.
@@ -460,11 +276,7 @@ func (c *Cluster) StatusNow() Status {
 			"errors":        c.ctr.sweepErrors,
 		},
 	}
-	for _, id := range c.members {
-		if c.aliveLocked(id) {
-			st.Alive++
-		}
-	}
+	st.Alive = c.aliveCountLocked()
 	for _, p := range c.peers {
 		status := p.status
 		if p.suspect {

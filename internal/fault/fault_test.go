@@ -114,6 +114,25 @@ func TestCrashRenameDurability(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicSurvivesCrashRename: store.WriteFileAtomic syncs
+// its temp file before the rename, so a simulated machine crash around
+// the rename keeps the new content instead of leaving an empty file
+// (the cluster epoch file goes through this helper: an empty epoch
+// file restarts the boot epoch at 1).
+func TestWriteFileAtomicSurvivesCrashRename(t *testing.T) {
+	reg := NewRegistry()
+	ffs := &FS{R: reg}
+	path := t.TempDir() + "/epoch"
+	reg.Arm("fs.rename", Fault{Crash: true})
+	if err := store.WriteFileAtomic(ffs, path, []byte("7\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.ReadFile(store.OS, path)
+	if err != nil || string(got) != "7\n" {
+		t.Fatalf("after crash-rename: ReadFile = %q, %v (want \"7\\n\")", got, err)
+	}
+}
+
 // TestFSErrorInjection: armed fs faults surface through the store as
 // transient disk errors without corrupting the in-memory layer.
 func TestFSErrorInjection(t *testing.T) {

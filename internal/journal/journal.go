@@ -407,8 +407,8 @@ func (j *Journal) appendLocked(rec Record) {
 
 // compactLocked rewrites the log to just the live records — one begin
 // per pending key (stamped with its cumulative attempt count) and one
-// poison per quarantined key — using the store's durable-write protocol
-// (temp + fsync + rename + dir fsync), then reopens the append handle.
+// poison per quarantined key — through store.WriteFileAtomic (temp +
+// fsync + rename + dir fsync), then reopens the append handle.
 func (j *Journal) compactLocked() error {
 	var buf []byte
 	for _, key := range sortedKeys(j.st.Pending) {
@@ -431,46 +431,23 @@ func (j *Journal) compactLocked() error {
 		}
 		buf = append(buf, line...)
 	}
-	tmp, err := j.fs.CreateTemp(j.dir, ".wal*")
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		j.fs.Remove(tmp.Name())
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if len(buf) > 0 {
-		if _, err := tmp.Write(buf); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		j.fs.Remove(tmp.Name())
-		return fmt.Errorf("journal: compact: %w", err)
-	}
 	// Close the old handle before the rename replaces the file, so no
-	// appends land on the unlinked inode.
+	// appends land on the unlinked inode. Reopen whatever the write
+	// returns: after a failed write the old log is still in place, and
+	// after a failed directory sync the new one already is.
 	if j.f != nil {
 		j.f.Close()
 		j.f = nil
 	}
-	if err := j.fs.Rename(tmp.Name(), j.path); err != nil {
-		j.fs.Remove(tmp.Name())
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if d, err := j.fs.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	werr := store.WriteFileAtomic(j.fs, j.path, buf, 0o755)
 	f, err := j.fs.OpenAppend(j.path)
 	if err != nil {
 		return fmt.Errorf("journal: compact: reopen: %w", err)
 	}
 	j.f = f
+	if werr != nil {
+		return fmt.Errorf("journal: compact: %w", werr)
+	}
 	j.size = int64(len(buf))
 	j.stats.Compactions++
 	return nil

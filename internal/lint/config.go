@@ -106,6 +106,10 @@ type Config struct {
 	// with one of these literal prefixes (idempotent, re-derivable jobs
 	// like compile/prepare that crash recovery regenerates on demand).
 	NonJournaledKeyPrefixes []string
+	// ExecuteFuncs run a simulation; LeaseFuncs take the execution
+	// lease that must dominate every such call.
+	ExecuteFuncs []string
+	LeaseFuncs   []string
 
 	// ---- L001 lock-hygiene ----
 
@@ -200,6 +204,8 @@ func RepoConfig() *Config {
 			"tlssync/internal/journal.Journal.Begin",
 		},
 		NonJournaledKeyPrefixes: []string{"prepare/"},
+		ExecuteFuncs:            []string{"tlssync.Run.SimulateSpec"},
+		LeaseFuncs:              []string{"tlssync/cmd/tlsd.server.acquireLease"},
 		LockScope: Scope{
 			Packages: []string{
 				"tlssync/cmd/tlsd",

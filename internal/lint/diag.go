@@ -33,7 +33,7 @@ const (
 	RuleDeterminism = "D001" // map-order / wall-clock escapes into deterministic bytes
 	RuleKeyPurity   = "K001" // store-key struct field hygiene
 	RuleSeamBypass  = "S001" // direct os.* filesystem calls in seam-owning packages
-	RuleJournal     = "J001" // job enqueue not dominated by a journal begin
+	RuleJournal     = "J001" // job enqueue not dominated by a journal begin, or simulation by a lease
 	RuleLockHygiene = "L001" // mutex held across network/fsync/journal calls
 	RuleIgnore      = "I001" // malformed or unused //lint:ignore
 )

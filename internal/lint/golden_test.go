@@ -47,6 +47,8 @@ func fixtureConfig() *Config {
 		EnqueueFuncs:            []string{"lintfixtures/j001.Engine.Do"},
 		BeginFuncs:              []string{"lintfixtures/j001.Journal.Begin"},
 		NonJournaledKeyPrefixes: []string{"prepare/"},
+		ExecuteFuncs:            []string{"lintfixtures/j001.Run.SimulateSpec"},
+		LeaseFuncs:              []string{"lintfixtures/j001.server.acquireLease"},
 		LockScope:               Scope{Packages: []string{"lintfixtures/l001"}},
 		SlowCallFuncs:           []string{"lintfixtures/l001.fsyncAll"},
 	}

@@ -7,13 +7,15 @@ import (
 	"strings"
 )
 
-// analyzeJournalOrder is rule J001: journal-before-execute. In the
-// daemon, every enqueue of recoverable work (jobs.Engine.Do with a
-// journaled job kind) must be dominated — on every control-flow path
-// of the enclosing function — by a write-ahead journal begin. A job
-// that starts executing before its intent is durable is exactly the
-// job a SIGKILL loses: the crash harness can only prove exactly-once
-// for work the journal knows about.
+// analyzeJournalOrder is rule J001: journal-before-execute and
+// lease-before-execute. In the daemon, every enqueue of recoverable
+// work (jobs.Engine.Do with a journaled job kind) must be dominated —
+// on every control-flow path of the enclosing function — by a
+// write-ahead journal begin: a job that starts executing before its
+// intent is durable is exactly the job a SIGKILL loses. Likewise every
+// simulation (Run.SimulateSpec) must be dominated by the execution
+// lease acquire: a simulation run without the lease is exactly the
+// double execution the lease exists to rule out.
 //
 // Domination is checked structurally (sound for Go's structured
 // control flow): a begin call counts only when it appears in a
@@ -24,7 +26,7 @@ import (
 // "prepare/" compiles) are exempt.
 var analyzeJournalOrder = &Analyzer{
 	Rule: RuleJournal,
-	Doc:  "job enqueue must be dominated by a write-ahead journal begin",
+	Doc:  "job enqueue must be dominated by a journal begin, simulation by a lease acquire",
 	Run:  runJournalOrder,
 }
 
@@ -59,10 +61,10 @@ func runJournalOrder(p *Pass) {
 
 // checkJournalBody flags every enqueue call in body (not nested in a
 // further function literal) that is not structurally dominated by a
-// begin call.
+// begin call, and every execute call not dominated by a lease acquire.
 func checkJournalBody(p *Pass, body *ast.BlockStmt) {
 	cfg, info := p.Cfg, p.Pkg.Info
-	var enqueues []*ast.CallExpr
+	var enqueues, executes []*ast.CallExpr
 	ast.Inspect(body, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
 			return false // separate function scope, walked separately
@@ -71,8 +73,11 @@ func checkJournalBody(p *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if inList(calleeID(info, call), cfg.EnqueueFuncs) {
+		switch id := calleeID(info, call); {
+		case inList(id, cfg.EnqueueFuncs):
 			enqueues = append(enqueues, call)
+		case inList(id, cfg.ExecuteFuncs):
+			executes = append(executes, call)
 		}
 		return true
 	})
@@ -80,8 +85,13 @@ func checkJournalBody(p *Pass, body *ast.BlockStmt) {
 		if exemptKey(call, cfg.NonJournaledKeyPrefixes) {
 			continue
 		}
-		if !dominatedByBegin(p, body, call) {
+		if !dominatedBy(p, body, call, cfg.BeginFuncs) {
 			p.Report(call.Pos(), "job enqueue is not dominated by a journal begin: a crash between here and the first journal append loses this job (no path to it may skip the write-ahead intent)")
+		}
+	}
+	for _, call := range executes {
+		if !dominatedBy(p, body, call, cfg.LeaseFuncs) {
+			p.Report(call.Pos(), "simulation is not dominated by an execution-lease acquire: a path that skips the lease can run this key a second time elsewhere in the cluster")
 		}
 	}
 }
@@ -126,21 +136,21 @@ func leftmostStringLit(e ast.Expr) string {
 	}
 }
 
-// dominatedByBegin reports whether a begin call appears in a statement
-// preceding the one containing `call` at some nesting level of body —
-// structural dominance for Go's block-scoped control flow. The begin
-// must sit in a plain statement (expression or assignment) at the
-// spine: a begin inside an if/for/select nested in a preceding
-// statement does not dominate.
-func dominatedByBegin(p *Pass, body *ast.BlockStmt, call *ast.CallExpr) bool {
+// dominatedBy reports whether a call to one of ids (a begin, a lease
+// acquire) appears in a statement preceding the one containing `call`
+// at some nesting level of body — structural dominance for Go's
+// block-scoped control flow. The dominator must sit in a plain
+// statement (expression or assignment) at the spine: one inside an
+// if/for/select nested in a preceding statement does not dominate.
+func dominatedBy(p *Pass, body *ast.BlockStmt, call *ast.CallExpr, ids []string) bool {
 	spine, ok := pathToStmt(body, call)
 	if !ok {
 		return false
 	}
-	info, begins := p.Pkg.Info, p.Cfg.BeginFuncs
+	info := p.Pkg.Info
 	for _, level := range spine {
 		for _, s := range level.before {
-			if plainStmtCalls(info, s, begins) {
+			if plainStmtCalls(info, s, ids) {
 				return true
 			}
 		}

@@ -548,7 +548,7 @@ func joinNode(ev *FaultEvent, fl *liveFleet, startJoiner func(int, string) (Daem
 
 // rollingRestart kills and restarts every live node in sequence — the
 // upgrade drill: at most one node is down at any moment, and each must
-// recover (journal replay, re-fenced adoptions, membership catch-up)
+// recover (journal replay through execution leases, membership catch-up)
 // before the next goes down.
 func rollingRestart(ev *FaultEvent, fl *liveFleet, readyTO time.Duration,
 	om *sync.Mutex, o *Outcome, notes *syncNotes, logf func(string, ...any)) {
@@ -763,7 +763,7 @@ func scrapeCluster(daemons []Daemon, client *http.Client, o *Outcome, notes *syn
 	// Replica-placement audit: rebuild the agreed ring and check every
 	// artifact anyone holds sits on every member of its replica chain.
 	// A hole is one missing copy; an orphan has NO copy on its chain
-	// (routing's pull-on-miss would never find it). Dead or missing
+	// (nothing repairs it back onto the chain). Dead or missing
 	// chain members count as holes — convergence means the data really
 	// is where the ring says.
 	o.ReplicationConverged = false

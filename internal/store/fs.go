@@ -44,11 +44,17 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// WriteFileAtomic writes data to path through the seam via a
-// same-directory temp file + rename, creating parent directories as
-// needed: a concurrent reader sees either nothing or the complete
-// content, and a chaos FS can inject a failure (or a simulated crash)
-// at every step.
+// WriteFileAtomic writes data to path through the seam with the
+// durable-rename protocol: a same-directory temp file, fsynced before
+// the rename, then an fsync of the parent directory after it. A
+// concurrent reader sees either nothing or the complete content, and a
+// crash at any point leaves either the old file or the new one — never
+// a renamed-but-empty file (renaming unsynced data can persist the
+// rename's metadata without the data). A non-nil error from the
+// directory sync means the rename already happened: the new content is
+// in place but its name may not survive a crash. Parent directories
+// are created as needed; a chaos FS can inject a failure (or a
+// simulated crash) at every step.
 func WriteFileAtomic(fsys FS, path string, data []byte, dirPerm os.FileMode) error {
 	dir := filepath.Dir(path)
 	if err := fsys.MkdirAll(dir, dirPerm); err != nil {
@@ -59,20 +65,27 @@ func WriteFileAtomic(fsys FS, path string, data []byte, dirPerm os.FileMode) err
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(name, path)
+	}
+	if err != nil {
 		fsys.Remove(name)
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(name)
+	d, err := fsys.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := fsys.Rename(name, path); err != nil {
-		fsys.Remove(name)
-		return err
-	}
-	return nil
+	err = d.Sync()
+	d.Close()
+	return err
 }
 
 // OS is the real filesystem.

@@ -128,3 +128,23 @@ func TestWriteDiskDurabilityOrder(t *testing.T) {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
 }
+
+// TestWriteFileAtomicDurabilityOrder: the sidecar-file helper follows
+// the same protocol as the artifact store — fsync the temp file, rename
+// it into place, fsync the parent directory — and the content reads
+// back.
+func TestWriteFileAtomicDurabilityOrder(t *testing.T) {
+	rec := &recordFS{}
+	path := t.TempDir() + "/sub/epoch"
+	if err := WriteFileAtomic(rec, path, []byte("7\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"mkdir", "create-temp", "sync-temp", "rename", "open-dir", "sync-dir"}
+	if got := rec.Ops(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("ops = %v, want %v", got, want)
+	}
+	got, err := ReadFile(OS, path)
+	if err != nil || string(got) != "7\n" {
+		t.Fatalf("ReadFile = %q, %v", got, err)
+	}
+}

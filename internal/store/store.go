@@ -57,6 +57,22 @@ func Key(kind string, parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// ValidKey reports whether key has the shape Key returns: 64
+// lowercase hex digits. Keys that arrive from outside the process (peer
+// requests, digests) must pass it before they reach the store, whose
+// disk layer turns a key into a file path.
+func ValidKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 func writePart(h io.Writer, p string) {
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
@@ -430,54 +446,16 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, shard, key)
 }
 
-// writeDisk persists one entry atomically with a payload checksum:
+// writeDisk persists one entry atomically with a payload checksum,
+// through WriteFileAtomic's durable-rename protocol:
 //
 //	tlsstore1 <hex sha256 of payload>\n<payload>
-//
-// Durability protocol: fsync the temp file before the rename, then
-// fsync the parent directory after it. Renaming an unsynced file can
-// persist the rename's metadata without the data — a crash then leaves
-// a zero-length entry that costs a DiskErrors+delete on every restart
-// until rewritten; the directory sync makes the rename itself durable.
 func (s *Store) writeDisk(key string, val []byte) error {
-	p := s.path(key)
-	dir := filepath.Dir(p)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	sum := sha256.Sum256(val)
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s %s\n", diskMagic, hex.EncodeToString(sum[:]))
 	buf.Write(val)
-	tmp, err := s.fs.CreateTemp(dir, ".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := s.fs.Rename(tmp.Name(), p); err != nil {
-		s.fs.Remove(tmp.Name())
-		return err
-	}
-	d, err := s.fs.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	d.Close()
-	return err
+	return WriteFileAtomic(s.fs, s.path(key), buf.Bytes(), 0o755)
 }
 
 // errCorrupt marks an entry whose on-disk format or checksum is

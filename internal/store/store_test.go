@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -426,5 +427,23 @@ func TestScrubQuarantinesBitRot(t *testing.T) {
 	// A second pass over the now-clean tier finds nothing.
 	if checked, quarantined := s.Scrub(context.Background()); checked != 1 || quarantined != 0 {
 		t.Fatalf("second scrub = (%d, %d), want (1, 0)", checked, quarantined)
+	}
+}
+
+// TestValidKey: exactly the shape Key returns is accepted; anything
+// that could name a path outside the shard layout is not.
+func TestValidKey(t *testing.T) {
+	if k := store.Key("simulate", "gzip_comp", "C"); !store.ValidKey(k) {
+		t.Fatalf("store.ValidKey(store.Key(...)) = false for %q", k)
+	}
+	for _, bad := range []string{
+		"", "../escape", "../victim", "ab/cd",
+		strings.Repeat("a", 63), strings.Repeat("a", 65),
+		strings.Repeat("A", 64), strings.Repeat("g", 64),
+		strings.Repeat("a", 62) + "/.",
+	} {
+		if store.ValidKey(bad) {
+			t.Errorf("ValidKey(%q) = true", bad)
+		}
 	}
 }
