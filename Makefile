@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race diff fuzz-smoke bench bench-json bench-smoke profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
+.PHONY: all build vet lint test test-short race diff fuzz-smoke bench bench-smoke bench-check loc profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
 
 all: build vet lint test race
 
@@ -126,17 +126,31 @@ cluster-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Bench-regression harness: time the tlsbench-shaped pipeline at -j1
-# and -j4 and write BENCH_pipeline.json (machine-readable, archived by
-# CI). BENCH_SHORT=-short restricts to 3 benchmarks.
-BENCH_SHORT ?=
-bench-json:
-	BENCH_JSON=1 BENCH_SMOKE=$(BENCH_SMOKE) $(GO) test -run '^TestBenchJSON$$' $(BENCH_SHORT) -v .
-
-# CI canary: short bench-json run that fails if the -j4 pipeline is
-# more than 10% slower than -j1 (a parallelism regression).
+# CI canary: time the tlsbench-shaped pipeline on three benchmarks at
+# job-engine -j1 and -j4 and fail if -j4 is more than 10% slower than
+# -j1 (a parallelism regression; see TestPipelineParallelCanary).
 bench-smoke:
-	$(MAKE) bench-json BENCH_SHORT=-short BENCH_SMOKE=1
+	BENCH_SMOKE=1 $(GO) test -run '^TestPipelineParallelCanary$$' -short -v .
+
+# The repository benchmark's correctness gates: one short run of each
+# perfbench workload (perfbench/README.md). perfbench exits 0 even when
+# its output checks fail, so this fails unless each run's result line
+# (its last) reports "correct":true and "failed":0.
+bench-check:
+	@for w in figures compile serve; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench-check: $$w: output checks failed" >&2; exit 1;; esac; \
+		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "bench-check: $$w: operations failed" >&2; exit 1;; esac; \
+	done
+
+# Non-test Go lines per package, perfbench/ and testdata/ excluded,
+# then the total: the code-size figure reported next to perf numbers.
+loc:
+	@find . -path ./perfbench -prune -o -path '*/testdata' -prune -o -path './.*' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # CPU and heap profiles of the two hot paths (compiler pipeline on the
 # largest workload, raw simulator throughput). Inspect with

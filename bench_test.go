@@ -6,6 +6,9 @@ package tlssync
 // regenerates its figure end-to-end — compilation, profiling,
 // transformation and simulation over all 15 re-created benchmarks — and
 // reports domain-specific metrics (violations, speedups) alongside time.
+// Per-stage microbenchmarks (BenchmarkStage*) and the opt-in pipeline
+// parallelism canary (TestPipelineParallelCanary, `make bench-smoke`)
+// close the file. The end-to-end benchmark is perfbench/.
 //
 // Run with: go test -bench=. -benchmem
 // The figures' text output lands next to this file when -printfigs is
@@ -15,10 +18,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
+	"tlssync/internal/ir"
 	"tlssync/internal/jobs"
+	"tlssync/internal/profile"
 	"tlssync/internal/sim"
 )
 
@@ -446,4 +453,119 @@ func main() {
 	}
 	b.ReportMetric(plainT, "C-time")
 	b.ReportMetric(filteredT, "C+filter-time")
+}
+
+// ---------------------------------------------------------------------------
+// Per-stage microbenchmarks. Each isolates one pipeline stage on the
+// first paper benchmark so its bytes/op and allocs/op can be trended on
+// their own; the budgets they trend against live in
+// internal/{trace/alloc,sim/pool,ir/arena,interp/mempool}_test.go and
+// docs/perf.md. BenchmarkCompilePipeline and BenchmarkSimulator cover
+// the compile and simulate stages.
+
+// Sinks keep the compiler from discarding a measured call's result.
+var (
+	cloneSink   *ir.Program
+	profileSink *profile.Profile
+)
+
+// stageBuild compiles the first paper benchmark once and returns the
+// pieces the stage benchmarks operate on.
+func stageBuild(b *testing.B) (*Build, *Workload) {
+	b.Helper()
+	w := Benchmarks()[0]
+	build, err := Compile(Config{
+		Source: w.Source, TrainInput: w.Train, RefInput: w.Ref, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return build, w
+}
+
+// BenchmarkStageClone times Program.DeepCopy, the arena-backed clone
+// every build performs once per memory-synchronization variant.
+func BenchmarkStageClone(b *testing.B) {
+	build, _ := stageBuild(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = build.Base.DeepCopy()
+	}
+}
+
+// BenchmarkStageTrace times the functional interpreter producing (and
+// releasing) a full region-delimited trace.
+func BenchmarkStageTrace(b *testing.B) {
+	build, w := stageBuild(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := build.Trace(build.Base, w.Ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.Release()
+	}
+}
+
+// BenchmarkStageProfile times dependence-profile analysis over a fixed
+// trace.
+func BenchmarkStageProfile(b *testing.B) {
+	build, w := stageBuild(b)
+	tr, err := build.Trace(build.Base, w.Ref)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profileSink = profile.Analyze(tr)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Parallelism canary
+
+// TestPipelineParallelCanary times the tlsbench-shaped pipeline (prepare
+// every benchmark through the job engine, then prewarm Figure 10) at
+// -j1 and -j4 and fails when -j4 is more than 10% SLOWER than -j1 — the
+// cheap canary for a parallelism regression (a real speedup check needs
+// quiet hardware, which CI runners are not). It is opt-in (set
+// BENCH_SMOKE=1, as `make bench-smoke` does) because it deliberately
+// saturates the machine; -short restricts it to three benchmarks.
+func TestPipelineParallelCanary(t *testing.T) {
+	if os.Getenv("BENCH_SMOKE") == "" {
+		t.Skip("set BENCH_SMOKE=1 to run the pipeline parallelism canary")
+	}
+	ws := Benchmarks()
+	if testing.Short() {
+		ws = ws[:3]
+	}
+	pipeline := func(workers int) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// Fresh Runs every iteration: Run memoizes simulations,
+				// so reusing them would time cache hits.
+				eng := jobs.New(workers)
+				runs, err := PrepareWorkloads(context.Background(), eng, ws, nil)
+				if err == nil {
+					err = Prewarm(context.Background(), eng, runs, []string{"10"}, nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	j1, j4 := pipeline(1), pipeline(4)
+	if j1.N == 0 || j4.N == 0 {
+		t.Fatal("pipeline benchmark failed")
+	}
+	speedup := float64(j1.NsPerOp()) / float64(j4.NsPerOp())
+	t.Logf("pipeline over %d workloads: -j1 %v/op, -j4 %v/op, speedup %.2f",
+		len(ws), time.Duration(j1.NsPerOp()), time.Duration(j4.NsPerOp()), speedup)
+	if speedup < 0.9 {
+		t.Errorf("pipeline -j4 is >10%% slower than -j1 (speedup %.2f): parallelism regression", speedup)
+	}
 }

@@ -42,99 +42,53 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-(benchmark, policy) progress on stderr")
 	seed := flag.Uint64("seed", 1, "root seed for -synth workload generation")
 	synth := flag.Int("synth", 0, "replace the benchmark set with this many seeded synthetic workloads")
-	daemon := flag.String("daemon", "", "drive a running tlsd over HTTP (base URL) instead of simulating in-process")
-	policies := flag.String("policy", "C", "daemon mode: comma-separated policy labels to request")
-	retries := flag.Int("retries", 4, "daemon mode: retry budget per request (429/503/transient 5xx back off and re-issue)")
-	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "daemon mode: first backoff delay")
-	retryCap := flag.Duration("retry-cap", 2*time.Second, "daemon mode: per-delay backoff ceiling")
 	flag.Parse()
 
-	if *daemon != "" {
-		var benches []string
-		if *bench != "" {
-			benches = []string{*bench}
-		}
-		var pols []string
-		for _, p := range strings.Split(*policies, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				pols = append(pols, p)
-			}
-		}
-		os.Exit(runDaemon(*daemon, benches, pols, *workers, *retries, *retryBase, *retryCap, *quiet))
+	ids, table1, err := selectExperiments(*fig, *table, *format)
+	if err != nil {
+		fatal(err)
 	}
-
-	if *table == "1" {
+	if table1 {
 		fmt.Print(tlssync.MachineTable1())
 		return
 	}
 
-	ctx := context.Background()
-	eng := jobs.New(*workers)
+	ws := tlssync.Benchmarks()
+	switch {
+	case *synth > 0 && *bench != "":
+		fatal(fmt.Errorf("-bench and -synth are mutually exclusive"))
+	case *synth > 0:
+		ws = tlssync.SynthBenchmarks(*seed, *synth)
+	case *bench != "":
+		w, err := tlssync.Benchmark(*bench)
+		if err != nil {
+			fatal(err)
+		}
+		ws = []*tlssync.Workload{w}
+	}
 
 	progress := func(format string, args ...any) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, format, args...)
 		}
 	}
-
-	var runs []*tlssync.Run
-	switch {
-	case *synth > 0:
-		if *bench != "" {
-			fatal(fmt.Errorf("-bench and -synth are mutually exclusive"))
+	ctx := context.Background()
+	eng := jobs.New(*workers)
+	progress("compiling and baselining %d workloads (-j %d)...\n", len(ws), eng.Workers())
+	runs, err := tlssync.PrepareWorkloads(ctx, eng, ws, func(bench string, d time.Duration, err error) {
+		if err == nil {
+			progress("prepared %-24s %8s\n", bench, d.Round(time.Millisecond))
 		}
-		ws := tlssync.SynthBenchmarks(*seed, *synth)
-		progress("compiling and baselining %d synthetic workloads (seed %d, -j %d)...\n", len(ws), *seed, eng.Workers())
-		var err error
-		runs, err = tlssync.PrepareWorkloads(ctx, eng, ws, func(bench string, d time.Duration, err error) {
-			if err == nil {
-				progress("prepared %-24s %8s\n", bench, d.Round(time.Millisecond))
-			}
-		})
-		if err != nil {
-			fatal(err)
-		}
-	case *bench != "":
-		w, err := tlssync.Benchmark(*bench)
-		if err != nil {
-			fatal(err)
-		}
-		r, err := tlssync.NewRun(w)
-		if err != nil {
-			fatal(err)
-		}
-		runs = []*tlssync.Run{r}
-	default:
-		var err error
-		progress("compiling and baselining 15 benchmarks (-j %d)...\n", eng.Workers())
-		runs, err = tlssync.PrepareWorkloads(ctx, eng, tlssync.Benchmarks(), func(bench string, d time.Duration, err error) {
-			if err == nil {
-				progress("prepared %-12s %8s\n", bench, d.Round(time.Millisecond))
-			}
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	ids := tlssync.ExperimentIDs()
-	switch {
-	case *fig != "":
-		ids = []string{*fig}
-	case *table == "2":
-		ids = []string{"T2"}
-	}
-	for _, id := range ids {
-		if _, ok := tlssync.Experiments[id]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q", id))
-		}
+	})
+	if err != nil {
+		fatal(err)
 	}
 
 	// Fan every needed (benchmark × policy) simulation out through the
 	// engine; the figures below then assemble from cached results.
 	total := countSpecs(ids, runs)
 	var done atomic.Int64
-	err := tlssync.Prewarm(ctx, eng, runs, ids, func(bench, label string, d time.Duration, err error) {
+	err = tlssync.Prewarm(ctx, eng, runs, ids, func(bench, label string, d time.Duration, err error) {
 		if err == nil {
 			progress("simulated %-12s %-10s %8s  [%d/%d]\n",
 				bench, label, d.Round(time.Millisecond), done.Add(1), total)
@@ -155,6 +109,31 @@ func main() {
 		}
 		fmt.Println(f.Text)
 	}
+}
+
+// selectExperiments turns -fig, -table and -format into the experiment
+// ids to render, or table1 for the simulation parameters. It rejects a
+// bad selection before anything compiles.
+func selectExperiments(fig, table, format string) (ids []string, table1 bool, err error) {
+	if format != "text" && format != "csv" {
+		return nil, false, fmt.Errorf("unknown -format %q (text or csv)", format)
+	}
+	switch {
+	case fig != "" && table != "":
+		return nil, false, fmt.Errorf("-fig and -table are mutually exclusive")
+	case table == "1":
+		return nil, true, nil
+	case table == "2":
+		return []string{"T2"}, false, nil
+	case table != "":
+		return nil, false, fmt.Errorf("unknown table %q (1 or 2)", table)
+	case fig == "":
+		return tlssync.ExperimentIDs(), false, nil
+	}
+	if _, ok := tlssync.Experiments[fig]; !ok {
+		return nil, false, fmt.Errorf("unknown figure %q (have %s)", fig, strings.Join(tlssync.ExperimentIDs(), " "))
+	}
+	return []string{fig}, false, nil
 }
 
 // countSpecs mirrors Prewarm's dedup to size the progress counter.

@@ -109,8 +109,9 @@ func TestPrewarmMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSpecsForCoverAllExperiments: every experiment that simulates has
-// specs, and spec labels are unique per run.
+// TestSpecsForCoverAllExperiments pins each experiment's spec labels,
+// in order: perfbench's figures layers and their percentiles follow
+// that order, and the labels are the result-cache keys.
 func TestSpecsForCoverAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a benchmark")
@@ -124,21 +125,61 @@ func TestSpecsForCoverAllExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*Run{r}
-	wantCounts := map[string]int{
-		"2": 2, "6": 4, "7": 0, "8": 3, "9": 3, "10": 5, "11": 4, "12": 4, "T2": 2,
+	want := map[string]string{
+		"2":  "U O",
+		"6":  "U fig6-F25 fig6-F15 fig6-F5",
+		"7":  "",
+		"8":  "U T C",
+		"9":  "C E L",
+		"10": "U P H C B",
+		"11": "fig11-U fig11-C fig11-H fig11-B",
+		"12": "U C H B",
+		"T2": "C B",
+	}
+	if got := strings.Join(ExperimentIDs(), " "); got != "2 6 7 8 9 10 11 12 T2" {
+		t.Errorf("ExperimentIDs() = %s", got)
 	}
 	for _, id := range ExperimentIDs() {
-		specs := SpecsFor(id, runs)
-		if len(specs) != wantCounts[id] {
-			t.Errorf("SpecsFor(%q): %d specs, want %d", id, len(specs), wantCounts[id])
+		var labels []string
+		for _, sp := range SpecsFor(id, runs) {
+			labels = append(labels, sp.Label)
 		}
-		seen := make(map[string]bool)
-		for _, sp := range specs {
-			if seen[sp.Key()] {
-				t.Errorf("SpecsFor(%q): duplicate key %s", id, sp.Key())
-			}
-			seen[sp.Key()] = true
+		if got := strings.Join(labels, " "); got != want[id] {
+			t.Errorf("SpecsFor(%q) labels = %q, want %q", id, got, want[id])
 		}
+	}
+	if specs := SpecsFor("99", runs); specs != nil {
+		t.Errorf("SpecsFor(unknown) = %d specs, want none", len(specs))
+	}
+}
+
+// TestPrewarmedExperimentsRenderWithoutSimulating: Prewarm and the
+// renderers read the same experiment table, so once every experiment is
+// prewarmed, rendering them all runs no simulation.
+func TestPrewarmedExperimentsRenderWithoutSimulating(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and simulates a benchmark")
+	}
+	w, err := Benchmark("gzip_comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []*Run{r}
+	if err := Prewarm(context.Background(), jobs.New(2), runs, ExperimentIDs(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r.ConsumeStageTimes()
+	for _, id := range ExperimentIDs() {
+		if _, err := Experiments[id](runs); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if d, ok := r.ConsumeStageTimes()["sim"]; ok {
+		t.Errorf("rendering prewarmed experiments simulated for %v", d)
 	}
 }
 

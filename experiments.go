@@ -73,80 +73,213 @@ func fanOut(ctx context.Context, n int, fn func(i int) error) error {
 	return parallel.Map(ctx, n, n, func(_ context.Context, i int) error { return fn(i) })
 }
 
-func barsFor(r *Run, labels ...string) ([]report.Bar, error) {
-	var bars []report.Bar
-	for _, l := range labels {
-		res, err := r.Simulate(l)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", r.W.Name, l, err)
-		}
-		bars = append(bars, r.Bar(l, res))
-	}
-	return bars, nil
+// experiment declares one figure or table once: its title, the
+// simulations it needs per benchmark, and how it renders their results.
+// SpecsFor, Prewarm and the renderer all read the same specs, so a
+// prewarmed experiment renders from cached results alone.
+type experiment struct {
+	id     string
+	title  string
+	specs  func(r *Run) []SimSpec
+	render func(f *Figure, runs []*Run, out [][]outcome)
 }
 
-// Fig2 — the potential of improving memory value communication: baseline
-// TLS (U) vs perfect memory value communication (O).
-func Fig2(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "2", Title: "Figure 2: potential performance impact of perfect memory-resident value communication\n" +
-		"U = TLS baseline, O = no memory violations and no memory sync stalls"}
-	for _, r := range runs {
-		bars, err := barsFor(r, "U", "O")
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, report.Row{Bench: r.W.Label, Bars: bars})
-	}
-	f.Text = report.RenderBars(f.Title, f.Rows, 50)
-	return f, nil
+// outcome is one spec's simulation result.
+type outcome struct {
+	spec SimSpec
+	res  *sim.Result
 }
 
-// Fig6 — the threshold study: perfect prediction of loads whose
-// inter-epoch dependence frequency exceeds 25%, 15% and 5% of epochs.
-func Fig6(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "6", Title: "Figure 6: perfect prediction of loads above dependence-frequency thresholds\n" +
-		"U = none; F25/F15/F5 = loads violating in >25%/>15%/>5% of epochs predicted perfectly"}
-	for _, r := range runs {
-		bars, err := barsFor(r, "U")
-		if err != nil {
-			return nil, err
-		}
-		for _, th := range fig6Thresholds {
-			res, err := r.SimulatePolicy("fig6-"+th.label, r.fig6Policy(th.label, th.frac))
+// experiments lists every figure and table in presentation order.
+var experiments = []experiment{
+	{"2", "Figure 2: potential performance impact of perfect memory-resident value communication\n" +
+		"U = TLS baseline, O = no memory violations and no memory sync stalls",
+		labels("U", "O"), renderBars},
+	{"6", "Figure 6: perfect prediction of loads above dependence-frequency thresholds\n" +
+		"U = none; F25/F15/F5 = loads violating in >25%/>15%/>5% of epochs predicted perfectly",
+		fig6Specs, renderBars},
+	// Figure 7 is a pure profile analysis: it simulates nothing.
+	{"7", "Dependence distance distribution (per §2.4)", labels(), renderFig7},
+	{"8", "Figure 8: compiler-inserted synchronization of memory-resident values\n" +
+		"U = baseline; T = profiled on train input; C = profiled on ref input",
+		labels("U", "T", "C"), renderBars},
+	{"9", "Figure 9: sensitivity to the cost of synchronization\n" +
+		"C = compiler sync; E = perfect prediction of synchronized values; L = stall until previous epoch completes",
+		labels("C", "E", "L"), renderBars},
+	{"10", "Figure 10: compiler-inserted vs hardware-inserted synchronization\n" +
+		"U = baseline; P = hw value prediction; H = hw sync (periodic reset); C = compiler sync; B = hybrid",
+		labels("U", "P", "H", "C", "B"), renderBars},
+	{"11", "Figure 11: violated loads classified by synchronizing scheme",
+		fig11Specs, renderTable([]string{"benchmark", "mode", "violations", "neither", "comp-only", "hw-only", "both"}, fig11Rows)},
+	{"12", "Figure 12: whole-program speedup over sequential execution",
+		labels("U", "C", "H", "B"), renderTable([]string{"benchmark", "coverage", "U", "C", "H", "B"}, fig12Rows)},
+	{"T2", "Table 2: region coverage and speedups (relative to sequential execution)",
+		labels("C", "B"), renderTable([]string{"benchmark", "coverage",
+			"region C", "region B", "seq C", "seq B", "program C", "program B"}, table2Rows)},
+}
+
+// Experiments maps figure/table IDs to their runners.
+var Experiments = func() map[string]func([]*Run) (*Figure, error) {
+	m := make(map[string]func([]*Run) (*Figure, error), len(experiments))
+	for i := range experiments {
+		m[experiments[i].id] = experiments[i].run
+	}
+	return m
+}()
+
+// ExperimentIDs lists the experiment identifiers in presentation order.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Fig8 regenerates Figure 8: U vs T (train-input profile) vs C
+// (ref-input profile).
+func Fig8(runs []*Run) (*Figure, error) { return Experiments["8"](runs) }
+
+// Fig10 regenerates Figure 10, compiler- vs hardware-inserted
+// synchronization: U, P (hw value prediction), H (hw sync), C (compiler
+// sync), B (hybrid).
+func Fig10(runs []*Run) (*Figure, error) { return Experiments["10"](runs) }
+
+// Fig11 regenerates Figure 11: violating loads classified by which
+// scheme would have synchronized them.
+func Fig11(runs []*Run) (*Figure, error) { return Experiments["11"](runs) }
+
+// Table2 regenerates Table 2: region coverage plus region, sequential
+// and program speedups for the compiler-only and hybrid configurations.
+func Table2(runs []*Run) (*Figure, error) { return Experiments["T2"](runs) }
+
+// run simulates (or reads from the Run's cache) every spec the
+// experiment needs on each run, then renders the figure.
+func (e *experiment) run(runs []*Run) (*Figure, error) {
+	f := &Figure{ID: e.id, Title: e.title}
+	out := make([][]outcome, len(runs))
+	for i, r := range runs {
+		for _, sp := range e.specs(r) {
+			res, err := r.SimulateSpec(sp)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/%s: %w", r.W.Name, sp.Label, err)
 			}
-			bars = append(bars, r.Bar(th.label, res))
+			out[i] = append(out[i], outcome{sp, res})
 		}
-		f.Rows = append(f.Rows, report.Row{Bench: r.W.Label, Bars: bars})
 	}
-	f.Text = report.RenderBars(f.Title, f.Rows, 50)
+	e.render(f, runs, out)
 	return f, nil
 }
 
-// fig6Thresholds are the threshold study's oracle configurations.
-var fig6Thresholds = []struct {
-	label string
-	frac  float64
-}{{"F25", 0.25}, {"F15", 0.15}, {"F5", 0.05}}
-
-// fig6Policy builds the oracle policy that perfectly predicts every load
-// violating in more than frac of epochs.
-func (r *Run) fig6Policy(label string, frac float64) sim.Policy {
-	set := make(map[int]bool)
-	//lint:ignore D001 set union across regions — membership is order-free
-	for _, rp := range r.Build.RefProfile.Regions {
-		for id := range rp.LoadsAboveThreshold(frac) {
-			set[id] = true
+// labels returns a spec builder for plain label-driven simulations.
+func labels(ls ...string) func(*Run) []SimSpec {
+	return func(r *Run) []SimSpec {
+		out := make([]SimSpec, len(ls))
+		for i, l := range ls {
+			out[i] = r.LabelSpec(l)
 		}
+		return out
 	}
-	return sim.Policy{Name: label, OracleLoads: set}
 }
 
-// Fig7 — dependence distance distribution (paper §2.4: most frequent
-// dependences are between consecutive epochs).
-func Fig7(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "7", Title: "Dependence distance distribution (per §2.4)"}
+// fig6Specs is the threshold study: U plus oracle policies that
+// perfectly predict every load violating in more than 25%, 15% and 5%
+// of epochs.
+func fig6Specs(r *Run) []SimSpec {
+	specs := []SimSpec{r.LabelSpec("U")}
+	for _, th := range []struct {
+		label string
+		frac  float64
+	}{{"F25", 0.25}, {"F15", 0.15}, {"F5", 0.05}} {
+		set := make(map[int]bool)
+		//lint:ignore D001 set union across regions — membership is order-free
+		for _, rp := range r.Build.RefProfile.Regions {
+			for id := range rp.LoadsAboveThreshold(th.frac) {
+				set[id] = true
+			}
+		}
+		specs = append(specs, SimSpec{Run: r, Label: "fig6-" + th.label,
+			Policy: sim.Policy{Name: th.label, OracleLoads: set}})
+	}
+	return specs
+}
+
+// fig11Specs returns Figure 11's four stall modes (U: stall for nothing,
+// C: compiler marks, H: hardware table, B: both). Stall-for-compiler
+// modes run the transformed binary; the others run the baseline binary
+// but keep the compiler marks.
+func fig11Specs(r *Run) []SimSpec {
+	marks := r.CompilerMarks()
+	return []SimSpec{
+		{Run: r, Label: "fig11-U", Binary: "base", Policy: sim.Policy{Name: "U", CompilerMarks: marks}},
+		{Run: r, Label: "fig11-C", Binary: "ref", Policy: sim.Policy{Name: "C", CompilerMarks: marks}},
+		{Run: r, Label: "fig11-H", Binary: "base", Policy: sim.Policy{Name: "H", HWSync: true, CompilerMarks: marks}},
+		{Run: r, Label: "fig11-B", Binary: "ref", Policy: sim.Policy{Name: "B", HWSync: true, CompilerMarks: marks}},
+	}
+}
+
+// renderBars draws one normalized bar per spec, labelled with its
+// policy name.
+func renderBars(f *Figure, runs []*Run, out [][]outcome) {
+	for i, r := range runs {
+		row := report.Row{Bench: r.W.Label}
+		for _, o := range out[i] {
+			row.Bars = append(row.Bars, r.Bar(o.spec.Policy.Name, o.res))
+		}
+		f.Rows = append(f.Rows, row)
+	}
+	f.Text = report.RenderBars(f.Title, f.Rows, 50)
+}
+
+// renderTable returns a renderer for a text table: header, then the
+// rows rowsFor derives from each benchmark's outcomes.
+func renderTable(header []string, rowsFor func(r *Run, out []outcome) [][]string) func(*Figure, []*Run, [][]outcome) {
+	return func(f *Figure, runs []*Run, out [][]outcome) {
+		rows := [][]string{header}
+		for i, r := range runs {
+			rows = append(rows, rowsFor(r, out[i])...)
+		}
+		f.Text = f.Title + "\n\n" + report.Table(rows)
+	}
+}
+
+func fig11Rows(r *Run, out []outcome) [][]string {
+	var rows [][]string
+	for _, o := range out {
+		b := o.res.ViolBuckets
+		rows = append(rows, []string{
+			r.W.Label, o.spec.Policy.Name,
+			fmt.Sprintf("%d", b[0]+b[1]+b[2]+b[3]),
+			fmt.Sprintf("%d", b[sim.BucketNeither]),
+			fmt.Sprintf("%d", b[sim.BucketCompiler]),
+			fmt.Sprintf("%d", b[sim.BucketHardware]),
+			fmt.Sprintf("%d", b[sim.BucketBoth]),
+		})
+	}
+	return rows
+}
+
+func fig12Rows(r *Run, out []outcome) [][]string {
+	cells := []string{r.W.Label, report.Pct(r.Coverage())}
+	for _, o := range out {
+		cells = append(cells, report.F2(r.ProgramSpeedup(o.res)))
+	}
+	return [][]string{cells}
+}
+
+func table2Rows(r *Run, out []outcome) [][]string {
+	c, b := out[0].res, out[1].res
+	return [][]string{{
+		r.W.Label, report.Pct(r.Coverage()),
+		report.F2(r.RegionSpeedup(c)), report.F2(r.RegionSpeedup(b)),
+		report.F2(r.SeqRegionSpeedup(c)), report.F2(r.SeqRegionSpeedup(b)),
+		report.F2(r.ProgramSpeedup(c)), report.F2(r.ProgramSpeedup(b)),
+	}}
+}
+
+// renderFig7 draws the dependence distance distribution (paper §2.4:
+// most frequent dependences are between consecutive epochs).
+func renderFig7(f *Figure, runs []*Run, _ [][]outcome) {
 	var sb strings.Builder
 	sb.WriteString(f.Title + "\n\n")
 	agg := make(map[int]int)
@@ -168,154 +301,6 @@ func Fig7(runs []*Run) (*Figure, error) {
 	sb.WriteString("\n")
 	sb.WriteString(report.Histogram("ALL BENCHMARKS", agg, 40))
 	f.Text = sb.String()
-	return f, nil
-}
-
-// Fig8 — compiler-inserted synchronization: U vs T (train-input profile)
-// vs C (ref-input profile).
-func Fig8(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "8", Title: "Figure 8: compiler-inserted synchronization of memory-resident values\n" +
-		"U = baseline; T = profiled on train input; C = profiled on ref input"}
-	for _, r := range runs {
-		bars, err := barsFor(r, "U", "T", "C")
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, report.Row{Bench: r.W.Label, Bars: bars})
-	}
-	f.Text = report.RenderBars(f.Title, f.Rows, 50)
-	return f, nil
-}
-
-// Fig9 — the cost of synchronization: C vs E (perfectly predicted
-// synchronized values: no wait stalls) vs L (synchronized loads stall
-// until the previous epoch completes).
-func Fig9(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "9", Title: "Figure 9: sensitivity to the cost of synchronization\n" +
-		"C = compiler sync; E = perfect prediction of synchronized values; L = stall until previous epoch completes"}
-	for _, r := range runs {
-		bars, err := barsFor(r, "C", "E", "L")
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, report.Row{Bench: r.W.Label, Bars: bars})
-	}
-	f.Text = report.RenderBars(f.Title, f.Rows, 50)
-	return f, nil
-}
-
-// Fig10 — compiler-inserted vs hardware-inserted synchronization:
-// U, P (hw value prediction), H (hw sync), C (compiler sync), B (hybrid).
-func Fig10(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "10", Title: "Figure 10: compiler-inserted vs hardware-inserted synchronization\n" +
-		"U = baseline; P = hw value prediction; H = hw sync (periodic reset); C = compiler sync; B = hybrid"}
-	for _, r := range runs {
-		bars, err := barsFor(r, "U", "P", "H", "C", "B")
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, report.Row{Bench: r.W.Label, Bars: bars})
-	}
-	f.Text = report.RenderBars(f.Title, f.Rows, 50)
-	return f, nil
-}
-
-// Fig11 — classifying violating loads by which scheme would have
-// synchronized them, under four stall modes (U: stall for nothing,
-// C: compiler marks, H: hardware table, B: both).
-func Fig11(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "11", Title: "Figure 11: violated loads classified by synchronizing scheme"}
-	rows := [][]string{{"benchmark", "mode", "violations", "neither", "comp-only", "hw-only", "both"}}
-	for _, r := range runs {
-		for _, md := range fig11Specs(r) {
-			res, err := r.SimulateSpec(md)
-			if err != nil {
-				return nil, err
-			}
-			var total int64
-			for _, n := range res.ViolBuckets {
-				total += n
-			}
-			rows = append(rows, []string{
-				r.W.Label, md.Policy.Name,
-				fmt.Sprintf("%d", total),
-				fmt.Sprintf("%d", res.ViolBuckets[sim.BucketNeither]),
-				fmt.Sprintf("%d", res.ViolBuckets[sim.BucketCompiler]),
-				fmt.Sprintf("%d", res.ViolBuckets[sim.BucketHardware]),
-				fmt.Sprintf("%d", res.ViolBuckets[sim.BucketBoth]),
-			})
-		}
-	}
-	f.Text = f.Title + "\n\n" + report.Table(rows)
-	return f, nil
-}
-
-// Fig12 — whole-program speedups for U, C, H, B.
-func Fig12(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "12", Title: "Figure 12: whole-program speedup over sequential execution"}
-	rows := [][]string{{"benchmark", "coverage", "U", "C", "H", "B"}}
-	for _, r := range runs {
-		cells := []string{r.W.Label, report.Pct(r.Coverage())}
-		for _, l := range []string{"U", "C", "H", "B"} {
-			res, err := r.Simulate(l)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, report.F2(r.ProgramSpeedup(res)))
-		}
-		rows = append(rows, cells)
-	}
-	f.Text = f.Title + "\n\n" + report.Table(rows)
-	return f, nil
-}
-
-// Table2 — region coverage plus region/sequential/program speedups for
-// the compiler-only and hybrid configurations.
-func Table2(runs []*Run) (*Figure, error) {
-	f := &Figure{ID: "T2", Title: "Table 2: region coverage and speedups (relative to sequential execution)"}
-	rows := [][]string{{
-		"benchmark", "coverage",
-		"region C", "region B", "seq C", "seq B", "program C", "program B",
-	}}
-	for _, r := range runs {
-		resC, err := r.Simulate("C")
-		if err != nil {
-			return nil, err
-		}
-		resB, err := r.Simulate("B")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, []string{
-			r.W.Label, report.Pct(r.Coverage()),
-			report.F2(r.RegionSpeedup(resC)), report.F2(r.RegionSpeedup(resB)),
-			report.F2(r.SeqRegionSpeedup(resC)), report.F2(r.SeqRegionSpeedup(resB)),
-			report.F2(r.ProgramSpeedup(resC)), report.F2(r.ProgramSpeedup(resB)),
-		})
-	}
-	f.Text = f.Title + "\n\n" + report.Table(rows)
-	return f, nil
-}
-
-// fig11Specs returns Figure 11's four stall-mode simulations for one
-// benchmark. Stall-for-compiler modes run the transformed binary; the
-// others run the baseline binary but keep the compiler marks.
-func fig11Specs(r *Run) []SimSpec {
-	marks := r.CompilerMarks()
-	out := make([]SimSpec, 0, 4)
-	for _, md := range []struct {
-		label  string
-		binary string
-		pol    sim.Policy
-	}{
-		{"U", "base", sim.Policy{Name: "U", CompilerMarks: marks}},
-		{"C", "ref", sim.Policy{Name: "C", CompilerMarks: marks}},
-		{"H", "base", sim.Policy{Name: "H", HWSync: true, CompilerMarks: marks}},
-		{"B", "ref", sim.Policy{Name: "B", HWSync: true, CompilerMarks: marks}},
-	} {
-		out = append(out, SimSpec{Run: r, Label: "fig11-" + md.label, Policy: md.pol, Binary: md.binary})
-	}
-	return out
 }
 
 // SimSpec is one (benchmark × policy) simulation unit: the granularity
@@ -362,42 +347,16 @@ func (r *Run) LabelSpec(label string) SimSpec {
 	return SimSpec{Run: r, Label: label, Policy: r.policyFor(label)}
 }
 
-// labeledSpecs builds plain label-driven specs for a set of labels.
-func labeledSpecs(r *Run, labels ...string) []SimSpec {
-	out := make([]SimSpec, 0, len(labels))
-	for _, l := range labels {
-		out = append(out, r.LabelSpec(l))
-	}
-	return out
-}
-
 // SpecsFor returns every simulation the experiment needs over the given
-// runs, one SimSpec per (benchmark × policy) pair. Fig7 (a pure profile
-// analysis) needs none.
+// runs, one SimSpec per (benchmark × policy) pair, in rendering order.
+// Fig7 (a pure profile analysis) and unknown ids need none.
 func SpecsFor(id string, runs []*Run) []SimSpec {
 	var specs []SimSpec
-	for _, r := range runs {
-		switch id {
-		case "2":
-			specs = append(specs, labeledSpecs(r, "U", "O")...)
-		case "6":
-			specs = append(specs, labeledSpecs(r, "U")...)
-			for _, th := range fig6Thresholds {
-				specs = append(specs, SimSpec{Run: r, Label: "fig6-" + th.label,
-					Policy: r.fig6Policy(th.label, th.frac)})
+	for i := range experiments {
+		if e := &experiments[i]; e.id == id {
+			for _, r := range runs {
+				specs = append(specs, e.specs(r)...)
 			}
-		case "8":
-			specs = append(specs, labeledSpecs(r, "U", "T", "C")...)
-		case "9":
-			specs = append(specs, labeledSpecs(r, "C", "E", "L")...)
-		case "10":
-			specs = append(specs, labeledSpecs(r, "U", "P", "H", "C", "B")...)
-		case "11":
-			specs = append(specs, fig11Specs(r)...)
-		case "12":
-			specs = append(specs, labeledSpecs(r, "U", "C", "H", "B")...)
-		case "T2":
-			specs = append(specs, labeledSpecs(r, "C", "B")...)
 		}
 	}
 	return specs
@@ -438,15 +397,4 @@ func Prewarm(ctx context.Context, eng *jobs.Engine, runs []*Run, ids []string,
 		}
 		return err
 	})
-}
-
-// Experiments maps figure/table IDs to their runners.
-var Experiments = map[string]func([]*Run) (*Figure, error){
-	"2": Fig2, "6": Fig6, "7": Fig7, "8": Fig8, "9": Fig9,
-	"10": Fig10, "11": Fig11, "12": Fig12, "T2": Table2,
-}
-
-// ExperimentIDs lists the experiment identifiers in presentation order.
-func ExperimentIDs() []string {
-	return []string{"2", "6", "7", "8", "9", "10", "11", "12", "T2"}
 }

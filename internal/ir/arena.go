@@ -1,7 +1,5 @@
 package ir
 
-import "sync"
-
 // copyArena is the slab storage behind one DeepCopy: every cloned
 // instruction, block and call-argument register lives in one of three
 // contiguous slabs instead of its own heap object. A program-sized copy
@@ -9,14 +7,6 @@ import "sync"
 // instruction — the build pipeline clones the scalar-synchronized base
 // program once per memory-synchronization variant, so this is directly
 // on the compile hot path (see docs/perf.md).
-//
-// Slabs are recycled through a sync.Pool: a copy whose lifetime is known
-// to be over (transient clones in tests, a variant dropped on a memsync
-// error) returns its slabs via Program.Recycle, and the next DeepCopy
-// reuses them. Recycle zeroes the slabs before pooling so a recycled
-// arena can never leak instructions (Sym strings, Args aliases) of a
-// dead program into a fresh copy — the pool-contamination tests in
-// arena_test.go pin that down.
 type copyArena struct {
 	instrs []Instr
 	blocks []Block
@@ -25,62 +15,15 @@ type copyArena struct {
 	succs  []*Block // backing for every block's Succs slice
 }
 
-var arenaPool sync.Pool
-
-// getArena returns an arena with capacity for the requested counts,
-// reusing pooled slabs when they are big enough.
-func getArena(nInstrs, nBlocks, nArgs, nSuccs int) *copyArena {
-	a, _ := arenaPool.Get().(*copyArena)
-	if a == nil {
-		a = new(copyArena)
+// newArena allocates slabs sized for the requested counts.
+func newArena(nInstrs, nBlocks, nArgs, nSuccs int) copyArena {
+	return copyArena{
+		instrs: make([]Instr, nInstrs),
+		blocks: make([]Block, nBlocks),
+		args:   make([]Reg, nArgs),
+		iptrs:  make([]*Instr, nInstrs),
+		succs:  make([]*Block, nSuccs),
 	}
-	if cap(a.instrs) < nInstrs {
-		a.instrs = make([]Instr, nInstrs)
-	}
-	if cap(a.blocks) < nBlocks {
-		a.blocks = make([]Block, nBlocks)
-	}
-	if cap(a.args) < nArgs {
-		a.args = make([]Reg, nArgs)
-	}
-	if cap(a.iptrs) < nInstrs {
-		a.iptrs = make([]*Instr, nInstrs)
-	}
-	if cap(a.succs) < nSuccs {
-		a.succs = make([]*Block, nSuccs)
-	}
-	a.instrs = a.instrs[:nInstrs]
-	a.blocks = a.blocks[:nBlocks]
-	a.args = a.args[:nArgs]
-	a.iptrs = a.iptrs[:nInstrs]
-	a.succs = a.succs[:nSuccs]
-	return a
-}
-
-// Recycle returns the slab storage of a DeepCopy to the arena pool and
-// severs the program's own structure. It must only be called when
-// nothing references the program or any of its functions, blocks or
-// instructions anymore — a recycled arena's memory is overwritten by
-// the next DeepCopy. Long-lived copies (a Build's variants) are simply
-// never recycled; the pool is for clones whose death is an explicit
-// event. Calling Recycle on a program that was not produced by DeepCopy
-// is a no-op.
-func (p *Program) Recycle() {
-	a := p.arena
-	if a == nil {
-		return
-	}
-	p.arena = nil
-	p.Funcs, p.FuncMap, p.Globals, p.GlobalMap = nil, nil, nil, nil
-	// Zero the slabs while they are still sliced to their used length:
-	// dropping the string/slice references now (not at next reuse) is
-	// what un-pins the dead program's memory.
-	clear(a.instrs)
-	clear(a.blocks)
-	clear(a.args)
-	clear(a.iptrs)
-	clear(a.succs)
-	arenaPool.Put(a)
 }
 
 // DeepCopy duplicates the whole program, preserving instruction IDs,
@@ -91,9 +34,8 @@ func (p *Program) Recycle() {
 // references (which name instructions by ID) remain valid in every copy.
 //
 // All instructions, blocks and call-argument slices of the copy are
-// allocated from one pooled arena (see copyArena); the copy is
-// indistinguishable from an individually-allocated one unless the caller
-// opts into recycling via Recycle.
+// allocated from one arena (see copyArena); the copy is otherwise
+// indistinguishable from an individually-allocated one.
 func (p *Program) DeepCopy() *Program {
 	nInstrs, nBlocks, nArgs, nSuccs, maxBlocks := 0, 0, 0, 0, 0
 	for _, f := range p.Funcs {
@@ -109,7 +51,7 @@ func (p *Program) DeepCopy() *Program {
 			}
 		}
 	}
-	a := getArena(nInstrs, nBlocks, nArgs, nSuccs)
+	a := newArena(nInstrs, nBlocks, nArgs, nSuccs)
 	io, bo, ao, so := 0, 0, 0, 0
 
 	np := &Program{
@@ -118,7 +60,6 @@ func (p *Program) DeepCopy() *Program {
 		NumScalarChans: p.NumScalarChans,
 		NumMemSyncs:    p.NumMemSyncs,
 		nextID:         p.nextID,
-		arena:          a,
 	}
 	for _, g := range p.Globals {
 		ng := *g

@@ -32,113 +32,23 @@ func buildCallProg() *Program {
 	return p
 }
 
-// TestArenaRecycleZeroesSlabs pins the clear-on-recycle invariant: a
-// recycled arena must carry nothing of the dead program — no Sym
-// strings, no Args aliases, no instruction or block pointers — so slab
-// reuse can never resurrect dead IR into a fresh copy.
-func TestArenaRecycleZeroesSlabs(t *testing.T) {
-	p := buildCallProg()
-	cp := p.DeepCopy()
-	a := cp.arena
-	if a == nil {
-		t.Fatal("DeepCopy did not attach an arena")
-	}
-	// Scribble over the copy so stale contents would be conspicuous.
-	for _, f := range cp.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				in.Sym = "stale"
-				in.Imm = -12345
-			}
-		}
-	}
-	cp.Recycle()
-
-	for i := range a.instrs {
-		in := &a.instrs[i]
-		if in.Op != 0 || in.Sym != "" || in.Args != nil || in.ID != 0 || in.Imm != 0 {
-			t.Fatalf("instrs[%d] not zeroed after Recycle: %+v", i, in)
-		}
-	}
-	for i := range a.blocks {
-		b := &a.blocks[i]
-		if b.Name != "" || b.Instrs != nil || b.Succs != nil || b.Preds != nil {
-			t.Fatalf("blocks[%d] not zeroed after Recycle: %+v", i, b)
-		}
-	}
-	for i, r := range a.args {
-		if r != 0 {
-			t.Fatalf("args[%d] not zeroed after Recycle: %v", i, r)
-		}
-	}
-	for i, ip := range a.iptrs {
-		if ip != nil {
-			t.Fatalf("iptrs[%d] still points at a dead instruction", i)
-		}
-	}
-	for i, sp := range a.succs {
-		if sp != nil {
-			t.Fatalf("succs[%d] still points at a dead block", i)
-		}
-	}
-	if cp.Funcs != nil || cp.FuncMap != nil || cp.Globals != nil || cp.GlobalMap != nil {
-		t.Fatal("Recycle left program structure attached")
-	}
-	if cp.arena != nil {
-		t.Fatal("Recycle left the arena attached (double-recycle hazard)")
-	}
-}
-
-// TestDeepCopyAfterRecycleMatchesFresh is the arena's contamination
-// test: a copy built from recycled slabs must be indistinguishable from
-// one built on fresh memory, even after the recycled program was
-// mutated arbitrarily before its death.
-func TestDeepCopyAfterRecycleMatchesFresh(t *testing.T) {
-	p := buildCallProg()
-	fresh := p.DeepCopy() // never recycled: the reference copy
-
-	dead := p.DeepCopy()
-	for _, f := range dead.Funcs {
-		for _, b := range f.Blocks {
-			b.Name = "junk"
-			for _, in := range b.Instrs {
-				in.Sym, in.Imm, in.Args = "junk", 666, nil
-			}
-		}
-	}
-	dead.Recycle()
-
-	got := p.DeepCopy() // reuses dead's slabs
-	if err := got.Verify(); err != nil {
-		t.Fatalf("copy from recycled arena does not verify: %v", err)
-	}
-	if g, w := got.String(), fresh.String(); g != w {
-		t.Fatalf("copy from recycled arena differs from fresh copy:\ngot:\n%s\nwant:\n%s", g, w)
-	}
-}
-
 // TestDeepCopyAllocBudget is the allocation-budget regression test for
-// the IR-clone path: once the arena pool is warm, a DeepCopy/Recycle
-// cycle must stay within a small fixed number of allocations (program
-// skeleton + maps), NOT one per instruction. If this fails, something
-// on the clone path stopped using the arena — see docs/perf.md for the
-// budget rationale and how to re-baseline.
+// the IR-clone path: a DeepCopy must stay within a small fixed number of
+// allocations (program skeleton, maps and the arena's five slabs), NOT
+// one per instruction. If this fails, something on the clone path
+// stopped using the arena — see docs/perf.md for the budget rationale
+// and how to re-baseline.
 func TestDeepCopyAllocBudget(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	p := buildCallProg()
-	p.DeepCopy().Recycle() // warm the pool
 
 	// ~16 structural allocations per copy (Program, two maps, Globals,
-	// Funcs, per-func Block slices, blockMap); the slack above that
-	// absorbs GC emptying the pool's victim cache mid-run.
+	// Funcs, per-func Block slices, blockMap) plus the five slabs.
 	const budget = 40
-	allocs := testing.AllocsPerRun(100, func() {
-		cp := p.DeepCopy()
-		cp.Recycle()
-	})
+	allocs := testing.AllocsPerRun(100, func() { p.DeepCopy() })
 	if allocs > budget {
-		t.Errorf("DeepCopy+Recycle allocates %.0f objects/op, budget %d — the arena path regressed (see docs/perf.md)", allocs, budget)
+		t.Errorf("DeepCopy allocates %.0f objects/op, budget %d — the arena path regressed (see docs/perf.md)", allocs, budget)
 	}
 }

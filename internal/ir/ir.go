@@ -312,10 +312,6 @@ type Program struct {
 	NumMemSyncs    int
 
 	nextID int
-
-	// arena is the pooled slab storage behind a DeepCopy (nil for
-	// programs built instruction-by-instruction); see arena.go.
-	arena *copyArena
 }
 
 // NewProgram returns an empty program.

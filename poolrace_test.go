@@ -8,8 +8,8 @@ import (
 )
 
 // TestConcurrentBuildsShareNoPooledObjects is the cross-build pooling
-// safety net: the event-buffer, memory-page, IR-arena and scoreboard
-// pools are process-global, so two builds running concurrently draw
+// safety net: the event-buffer, memory-page and scoreboard pools are
+// process-global, so two builds running concurrently draw
 // from the same pools. If an object were ever put back while a build
 // still references it, a concurrent build could acquire and overwrite
 // it — which -race flags as a data race, and which the output

@@ -14,7 +14,8 @@
 //   - Run: simulate any binary under a named policy and get normalized
 //     execution-time breakdowns (wraps internal/sim).
 //   - Experiments: regenerate each of the paper's figures and tables over
-//     the 15 re-created benchmarks (Fig2..Fig12, Table1, Table2).
+//     the 15 re-created benchmarks (Figures 2 and 6–12, Table 2;
+//     MachineTable1 renders Table 1).
 package tlssync
 
 import (
@@ -66,7 +67,7 @@ func MachineTable1() string { return sim.DefaultMachine().Table1() }
 
 // Run is a compiled-and-baselined benchmark ready for policy simulations.
 // It caches traces per binary and the sequential baseline used to
-// normalize every bar. Simulate, SimulatePolicy and SimulateTimeline are
+// normalize every bar. Simulate, SimulateSpec and SimulateTimeline are
 // safe for concurrent callers: traces are computed once per binary and
 // results are cached per label under an internal mutex, so figure
 // regeneration can fan out at (benchmark × policy) granularity.
@@ -244,15 +245,10 @@ func (r *Run) policyFor(label string) sim.Policy {
 	return sim.Policy{Name: label}
 }
 
-// Simulate runs (and caches) the named policy. Extra policies can be
-// passed explicitly via SimulatePolicy.
+// Simulate runs (and caches) the named policy. Other policies go
+// through SimulateSpec.
 func (r *Run) Simulate(label string) (*sim.Result, error) {
-	return r.SimulatePolicy(label, r.policyFor(label))
-}
-
-// SimulatePolicy runs an explicit policy on the binary the label selects.
-func (r *Run) SimulatePolicy(label string, pol sim.Policy) (*sim.Result, error) {
-	return r.SimulateSpec(SimSpec{Run: r, Label: label, Policy: pol})
+	return r.SimulateSpec(r.LabelSpec(label))
 }
 
 // artifactKey hashes an artifact's full identity: kind tag, compiler
