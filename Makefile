@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race diff fuzz-smoke bench bench-smoke bench-check loc profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
+.PHONY: all build vet lint test test-short race diff fuzz-smoke bench bench-smoke bench-sim bench-check loc profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
 
 all: build vet lint test race
 
@@ -131,6 +131,12 @@ bench:
 # -j1 (a parallelism regression; see TestPipelineParallelCanary).
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run '^TestPipelineParallelCanary$$' -short -v .
+
+# The simulator's hot path in isolation: BenchmarkSimulator (parser,
+# policy U) five times, reporting ns/op, allocs/op and allocs/event (see
+# docs/perf.md for the recorded numbers).
+bench-sim:
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulator$$' -benchmem -count 5 .
 
 # The repository benchmark's correctness gates: one short run of each
 # perfbench workload (perfbench/README.md). perfbench exits 0 even when

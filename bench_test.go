@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -316,7 +317,9 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator measures raw simulation throughput (events/sec).
+// BenchmarkSimulator measures raw simulation throughput (events/sec)
+// and the simulator's allocations per dynamic event (allocs/event,
+// budget ≈ 0; see docs/perf.md). `make bench-sim` runs it.
 func BenchmarkSimulator(b *testing.B) {
 	w, err := Benchmark("parser")
 	if err != nil {
@@ -331,11 +334,16 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	events := tr.Events()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Simulate(sim.Input{Trace: tr, Policy: sim.PolicyU()})
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/(float64(events)*float64(b.N)), "allocs/event")
 }
 
 // BenchmarkAblationOptimizer measures the effect of the classical scalar

@@ -107,10 +107,12 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 		Kill:  make(map[*ir.Block]Bitset, len(f.Blocks)),
 	}
 	n := f.NumRegs
+	uses := make([]ir.Reg, 0, 4)
 	for _, b := range f.Blocks {
 		ue, kill := NewBitset(n), NewBitset(n)
 		for _, in := range b.Instrs {
-			for _, u := range in.Uses() {
+			uses = in.AppendUses(uses[:0])
+			for _, u := range uses {
 				if !kill.Has(int(u)) {
 					ue.Set(int(u))
 				}
@@ -148,12 +150,14 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 // index idx in block b.
 func (lv *Liveness) LiveAt(b *ir.Block, idx int) Bitset {
 	live := lv.Out[b].Copy()
+	uses := make([]ir.Reg, 0, 4)
 	for i := len(b.Instrs) - 1; i >= idx; i-- {
 		in := b.Instrs[i]
 		if in.HasDst() {
 			live.Clear(int(in.Dst))
 		}
-		for _, u := range in.Uses() {
+		uses = in.AppendUses(uses[:0])
+		for _, u := range uses {
 			live.Set(int(u))
 		}
 	}

@@ -185,26 +185,29 @@ type Instr struct {
 	Pos    lang.Pos
 }
 
-// Uses returns the registers read by the instruction.
-func (in *Instr) Uses() []Reg {
-	var u []Reg
-	add := func(r Reg) {
-		if r != None {
-			u = append(u, r)
-		}
-	}
+// AppendUses appends the registers the instruction reads to buf and
+// returns the extended slice. It allocates only when buf lacks capacity,
+// so a loop that passes the same buffer back (buf[:0]) reads operands
+// without allocating.
+func (in *Instr) AppendUses(buf []Reg) []Reg {
 	switch in.Op {
 	case Const, AddrGlobal, AddrLocal, NewObj, WaitScalar, WaitMemAddr, WaitMemVal, Br, SignalMemNull:
 		// no register uses
 	case Call:
 		for _, a := range in.Args {
-			add(a)
+			if a != None {
+				buf = append(buf, a)
+			}
 		}
 	default:
-		add(in.A)
-		add(in.B)
+		if in.A != None {
+			buf = append(buf, in.A)
+		}
+		if in.B != None {
+			buf = append(buf, in.B)
+		}
 	}
-	return u
+	return buf
 }
 
 // HasDst reports whether the instruction writes a destination register.

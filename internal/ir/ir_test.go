@@ -1,9 +1,12 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"tlssync/internal/racedetect"
 )
 
 // buildDiamond constructs a minimal valid function:
@@ -241,29 +244,41 @@ func TestAluEvalPropertyAddSubInverse(t *testing.T) {
 
 func TestInstrUses(t *testing.T) {
 	p := NewProgram()
-	in := p.NewInstr(Bin)
-	in.Dst, in.A, in.B = 0, 1, 2
-	u := in.Uses()
-	if len(u) != 2 || u[0] != 1 || u[1] != 2 {
-		t.Errorf("Bin uses = %v", u)
-	}
+	bin := p.NewInstr(Bin)
+	bin.Dst, bin.A, bin.B = 0, 1, 2
 	call := p.NewInstr(Call)
-	call.Args = []Reg{3, 4, 5}
-	u = call.Uses()
-	if len(u) != 3 {
-		t.Errorf("Call uses = %v", u)
+	call.Args = []Reg{3, None, 5}
+	bareRet := p.NewInstr(Ret)
+	valRet := p.NewInstr(Ret)
+	valRet.A = 7
+	cases := []struct {
+		name string
+		in   *Instr
+		want []Reg
+	}{
+		{"Bin", bin, []Reg{1, 2}},
+		{"Call with None args", call, []Reg{3, 5}},
+		{"bare Ret", bareRet, nil},
+		{"valued Ret", valRet, []Reg{7}},
+		{"Const", p.NewInstr(Const), nil},
 	}
-	c := p.NewInstr(Const)
-	if len(c.Uses()) != 0 {
-		t.Errorf("Const uses = %v", c.Uses())
-	}
-	ret := p.NewInstr(Ret)
-	if len(ret.Uses()) != 0 {
-		t.Errorf("bare Ret uses = %v", ret.Uses())
-	}
-	ret.A = 7
-	if len(ret.Uses()) != 1 {
-		t.Errorf("Ret r7 uses = %v", ret.Uses())
+	buf := make([]Reg, 0, 4)
+	for _, c := range cases {
+		got := c.in.AppendUses(buf[:0])
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s uses = %v, want %v", c.name, got, c.want)
+		}
+		// AppendUses keeps what the buffer already holds.
+		if got := c.in.AppendUses([]Reg{9}); !slices.Equal(got, append([]Reg{9}, c.want...)) {
+			t.Errorf("%s appended to [r9] = %v, want r9 then %v", c.name, got, c.want)
+		}
+		if racedetect.Enabled {
+			continue
+		}
+		allocs := testing.AllocsPerRun(100, func() { buf = c.in.AppendUses(buf[:0]) })
+		if allocs != 0 {
+			t.Errorf("%s: AppendUses into a buffer with room allocates %.0f objects/op, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ func (f *Func) Verify() error {
 		}
 		return nil
 	}
+	uses := make([]Reg, 0, 4)
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s b%d: empty block", f.Name, b.Index)
@@ -55,16 +56,10 @@ func (f *Func) Verify() error {
 			if err := checkReg(b, in, in.Dst, "dst"); err != nil {
 				return err
 			}
-			for _, u := range in.Uses() {
+			uses = in.AppendUses(uses[:0])
+			for _, u := range uses {
 				if err := checkReg(b, in, u, "use"); err != nil {
 					return err
-				}
-			}
-			if in.Op == Call {
-				for _, a := range in.Args {
-					if err := checkReg(b, in, a, "arg"); err != nil {
-						return err
-					}
 				}
 			}
 		}

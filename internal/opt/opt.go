@@ -177,6 +177,7 @@ func pure(op ir.Op) bool {
 func eliminateDead(f *ir.Func) int {
 	lv := dataflow.ComputeLiveness(f)
 	removed := 0
+	uses := make([]ir.Reg, 0, 4)
 	for _, b := range f.Blocks {
 		live := lv.Out[b].Copy()
 		// Walk backwards, maintaining liveness within the block.
@@ -191,7 +192,8 @@ func eliminateDead(f *ir.Func) int {
 			if in.HasDst() {
 				live.Clear(int(in.Dst))
 			}
-			for _, u := range in.Uses() {
+			uses = in.AppendUses(uses[:0])
+			for _, u := range uses {
 				live.Set(int(u))
 			}
 			keep = append(keep, in)

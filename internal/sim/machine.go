@@ -65,13 +65,40 @@ type loadMark struct {
 	pc    int // load Origin
 }
 
-// frameSB is one call frame's register scoreboard.
+// frameSB is one call frame's register scoreboard. ready is indexed by
+// register and holds the cycle its value becomes available; it grows on
+// write, and a zero (or absent) entry means "not written in this
+// frame". Zero is safe as that marker because readiness is only ever
+// compared against base, and base >= 0: a register written at cycle 0
+// and one never written both impose no wait.
 type frameSB struct {
-	ready map[ir.Reg]int64
+	ready []int64
 	base  int64 // no register is ready before this (frame entry time)
 	// callDst is the register in the CALLER that receives this frame's
 	// return value.
 	callDst ir.Reg
+}
+
+// readyAt returns the cycle register r was last written for, or 0.
+func (f *frameSB) readyAt(r ir.Reg) int64 {
+	if int(r) < len(f.ready) {
+		return f.ready[r]
+	}
+	return 0
+}
+
+// setReady records that register r becomes available at cycle c.
+func (f *frameSB) setReady(r ir.Reg, c int64) {
+	if int(r) >= len(f.ready) {
+		f.ready = append(f.ready, make([]int64, int(r)+1-len(f.ready))...)
+	}
+	f.ready[r] = c
+}
+
+// reset forgets every register write, keeping the backing array.
+func (f *frameSB) reset() {
+	clear(f.ready)
+	f.ready = f.ready[:0]
 }
 
 // epochRun is the execution of one epoch on one CPU (possibly restarted).
@@ -147,16 +174,27 @@ type machine struct {
 
 	cycle int64
 
-	// Per-region-instance state.
-	runs         map[int]*epochRun // epoch index -> active run
-	committedGen map[int]int
-	mail         map[mailKey]mailEntry
-	oldest       int
-	nextStart    int
-	lastStarted  int64 // cycle the most recent epoch started (spawn stagger)
-	cpuFree      []int64
-	curRegion    *RegionStats
-	epochs       []*trace.Epoch
+	// regionSeen is set when the first region instance starts and stays
+	// set. Sequential segments before it skip dependence tracking and
+	// signaling; sequential segments after it take the region path, so
+	// their forwarded-value loads still reach the FilterSync usefulness
+	// counters and their loads the violation-history table.
+	regionSeen bool
+
+	// uses is operandsReady's reusable operand buffer.
+	uses []ir.Reg
+
+	// Per-region-instance state. runs is indexed by epoch number and
+	// holds exactly the active runs: runs[e] != nil iff oldest <= e <
+	// nextStart.
+	runs        []*epochRun
+	mail        map[mailKey]mailEntry
+	oldest      int
+	nextStart   int
+	lastStarted int64 // cycle the most recent epoch started (spawn stagger)
+	cpuFree     []int64
+	curRegion   *RegionStats
+	epochs      []*trace.Epoch
 }
 
 func newMachine(in Input) *machine {
@@ -245,20 +283,15 @@ func (m *machine) runRegion(ri *trace.RegionInstance) {
 	}
 	m.curRegion = rs
 	m.epochs = ri.Epochs
-	// Region bookkeeping maps are reused (cleared) across instances; note
-	// that m.runs stays non-nil after the first region on purpose — the
-	// sequential-segment guards in spec.go test nil-ness, and a
-	// post-region sequential segment has always taken the non-nil path.
-	if m.runs == nil {
-		m.runs = make(map[int]*epochRun)
-		m.committedGen = make(map[int]int)
+	// Region bookkeeping is reused (cleared) across instances.
+	if !m.regionSeen {
+		m.regionSeen = true
 		m.mail = make(map[mailKey]mailEntry)
 		m.cpuFree = make([]int64, m.cfg.CPUs)
 	} else {
-		clear(m.runs)
-		clear(m.committedGen)
 		clear(m.mail)
 	}
+	m.runs = append(m.runs[:0], make([]*epochRun, len(m.epochs))...)
 	m.oldest = 0
 	m.nextStart = 0
 	m.lastStarted = m.cycle - int64(m.cfg.SpawnCost)
@@ -273,12 +306,10 @@ func (m *machine) runRegion(ri *trace.RegionInstance) {
 		// Step runs in epoch order: deterministic, and the oldest epoch's
 		// stores are seen by younger epochs within the same cycle.
 		for e := m.oldest; e < m.nextStart; e++ {
-			if run := m.runs[e]; run != nil {
-				m.stepRun(run)
-			}
+			m.stepRun(m.runs[e])
 		}
 		// Idle CPUs burn slots inside the region.
-		busyCPUs := len(m.runs)
+		busyCPUs := m.nextStart - m.oldest
 		m.curRegionIdle(int64(m.cfg.CPUs-busyCPUs) * int64(m.cfg.IssueWidth))
 		m.tryCommit()
 		m.cycle++
@@ -323,9 +354,13 @@ func (m *machine) startRuns() {
 	}
 }
 
-// epochIdxOf finds the epoch index of a run (runs are keyed by index).
-func (m *machine) epochIdxOf(run *epochRun) int {
-	return run.epoch.Index
+// runAt returns the active run of epoch e, or nil when e has no active
+// run: not started yet, committed, or outside the region instance.
+func (m *machine) runAt(e int) *epochRun {
+	if e < 0 || e >= len(m.runs) {
+		return nil
+	}
+	return m.runs[e]
 }
 
 // ---------------------------------------------------------------------------
@@ -391,8 +426,9 @@ func (m *machine) stepRun(run *epochRun) {
 func (m *machine) operandsReady(run *epochRun, ev *trace.Event) int64 {
 	f := run.frames[len(run.frames)-1]
 	t := f.base
-	for _, u := range m.code[ev.SI].Uses() {
-		if r, ok := f.ready[u]; ok && r > t {
+	m.uses = m.code[ev.SI].AppendUses(m.uses[:0])
+	for _, u := range m.uses {
+		if r := f.readyAt(u); r > t {
 			t = r
 		}
 	}
@@ -402,7 +438,7 @@ func (m *machine) operandsReady(run *epochRun, ev *trace.Event) int64 {
 // gate checks op-specific stall conditions. It returns (canIssue,
 // blockedOnSync). Stall-cycle accounting happens here.
 func (m *machine) gate(run *epochRun, ev *trace.Event) (bool, bool) {
-	e := m.epochIdxOf(run)
+	e := run.epoch.Index
 	isOldest := e == m.oldest
 	in := m.code[ev.SI]
 	switch in.Op {
@@ -477,38 +513,28 @@ func (m *machine) immuneLoad(run *epochRun, ev *trace.Event) bool {
 	return false
 }
 
-// waitReady decides whether a wait can complete now: a valid mailbox
-// entry arrived, the epoch is the oldest (all predecessors committed), or
-// the predecessor run finished (implicit NULL signal).
+// waitReady decides whether a wait can complete now: the epoch is the
+// oldest (all predecessors committed), a mailbox entry from the
+// predecessor's current run arrived, or the predecessor run finished
+// (implicit NULL signal). Every epoch between oldest and nextStart has
+// an active run, so a younger epoch's predecessor is always running;
+// runAt only answers nil for it if that invariant breaks, and then
+// committed memory is safe to read.
 func (m *machine) waitReady(run *epochRun, e int, ch int64, scalar bool) bool {
-	if e == m.oldest {
+	pred := m.runAt(e - 1)
+	if e == m.oldest || pred == nil {
 		return true
 	}
-	key := mailKey{consumer: e, ch: ch, scalar: scalar}
-	entry, ok := m.mail[key]
-	pred := m.runs[e-1]
-	if ok {
-		valid := false
-		if pred != nil {
-			valid = entry.gen == pred.gen
-		} else if g, committed := m.committedGen[e-1]; committed {
-			valid = entry.gen == g
-		}
-		if valid && entry.ready <= m.cycle {
+	if entry, ok := m.mail[mailKey{consumer: e, ch: ch, scalar: scalar}]; ok && entry.gen == pred.gen {
+		if entry.ready <= m.cycle {
 			run.consumedGen = entry.gen
 			return true
 		}
-		if valid {
-			return false // in flight
-		}
+		return false // in flight
 	}
 	// Implicit NULL: predecessor finished executing without signaling.
-	if pred != nil && pred.finished && pred.finishCycle+int64(m.cfg.CommLat) <= m.cycle {
+	if pred.finished && pred.finishCycle+int64(m.cfg.CommLat) <= m.cycle {
 		run.consumedGen = pred.gen
-		return true
-	}
-	if pred == nil {
-		// Predecessor committed (or never existed): memory is safe.
 		return true
 	}
 	return false
@@ -572,8 +598,7 @@ func (m *machine) completeEvent(run *epochRun, ev *trace.Event, lat int) {
 		// value's readiness).
 		retReady := done
 		if in.A != ir.None {
-			f := run.frames[len(run.frames)-1]
-			if r, ok := f.ready[in.A]; ok && r > retReady {
+			if r := run.frames[len(run.frames)-1].readyAt(in.A); r > retReady {
 				retReady = r
 			}
 		}
@@ -583,7 +608,7 @@ func (m *machine) completeEvent(run *epochRun, ev *trace.Event, lat int) {
 			run.frames = run.frames[:len(run.frames)-1]
 			putFrameSB(popped)
 			if callDst != ir.None {
-				run.frames[len(run.frames)-1].ready[callDst] = retReady
+				run.frames[len(run.frames)-1].setReady(callDst, retReady)
 			}
 		}
 		if retReady > run.lastComplete {
@@ -591,7 +616,7 @@ func (m *machine) completeEvent(run *epochRun, ev *trace.Event, lat int) {
 		}
 	default:
 		if in.HasDst() {
-			run.frames[len(run.frames)-1].ready[in.Dst] = done
+			run.frames[len(run.frames)-1].setReady(in.Dst, done)
 		}
 	}
 }

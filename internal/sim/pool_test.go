@@ -3,9 +3,12 @@ package sim
 import (
 	"testing"
 
+	"tlssync/internal/core"
 	"tlssync/internal/ir"
+	"tlssync/internal/memsync"
 	"tlssync/internal/racedetect"
 	"tlssync/internal/trace"
+	"tlssync/internal/workloads"
 )
 
 // Pool-contamination tests for the scoreboard pools, mirroring
@@ -33,7 +36,7 @@ func dirtyRun(run *epochRun) {
 	run.scalarWait, run.memWait, run.hwWait = 1, 2, 3
 	run.span = &EpochSpan{}
 	run.frames = append(run.frames, getFrameSB(99, 3))
-	run.frames[0].ready[7] = 1234
+	run.frames[0].setReady(7, 1234)
 }
 
 func TestRunPoolNoContamination(t *testing.T) {
@@ -70,20 +73,26 @@ func TestRunPoolNoContamination(t *testing.T) {
 	if len(got.frames) != 1 {
 		t.Fatalf("recycled run has %d frames, want exactly the base frame", len(got.frames))
 	}
-	if f := got.frames[0]; len(f.ready) != 0 || f.base != 0 || f.callDst != ir.None {
+	if f := got.frames[0]; len(f.ready) != 0 || f.readyAt(7) != 0 || f.base != 0 || f.callDst != ir.None {
 		t.Errorf("recycled run's base frame leaked: ready=%v base=%d callDst=%v", f.ready, f.base, f.callDst)
 	}
 }
 
 func TestFramePoolNoContamination(t *testing.T) {
 	f := getFrameSB(50, 2)
-	f.ready[1] = 99
-	f.ready[2] = 100
+	f.setReady(1, 99)
+	f.setReady(2, 100)
 	putFrameSB(f)
 
 	got := getFrameSB(7, ir.None)
-	if len(got.ready) != 0 {
+	if len(got.ready) != 0 || got.readyAt(1) != 0 || got.readyAt(2) != 0 {
 		t.Errorf("recycled frame leaked register readiness: %v", got.ready)
+	}
+	// A register written past the recycled length must not surface a
+	// stale value from the backing array.
+	got.setReady(3, 5)
+	if got.readyAt(1) != 0 || got.readyAt(2) != 0 {
+		t.Errorf("growing a recycled frame exposed stale readiness: %v", got.ready)
 	}
 	if got.base != 7 || got.callDst != ir.None {
 		t.Errorf("getFrameSB did not apply requested state: base=%d callDst=%v", got.base, got.callDst)
@@ -114,5 +123,50 @@ func TestSimulateAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, run)
 	if allocs > budget {
 		t.Errorf("simulating 8 epochs allocates %.0f objects/run, budget %d — the scoreboard pools regressed (see docs/perf.md)", allocs, budget)
+	}
+}
+
+// TestSimulateAllocsPerEvent is the per-event allocation budget on a
+// real workload trace, whose events read registers, call functions,
+// wait and signal. m88ksim squashes ~1,500 epochs under both policies
+// measured here: U on the base binary and compiler synchronization (C)
+// on the ref binary, so restarts and the sync paths are covered too.
+// With the pools warm, a simulation's allocations are per-machine setup
+// and pool misses, independent of trace length: well under one per
+// thousand events. An allocation on the per-event path (such as a
+// register-use slice built per issue attempt) shows up as one or more
+// per event. See docs/perf.md.
+func TestSimulateAllocsPerEvent(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, err := workloads.ByName("m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Compile(core.Config{Source: w.Source, TrainInput: w.Train, RefInput: w.Ref, Seed: 42}.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiler := PolicyC("C")
+	compiler.CompilerMarks = memsync.SyncedLoadOrigins(b.Ref)
+	for _, c := range []struct {
+		bin *ir.Program
+		pol Policy
+	}{{b.Base, PolicyU()}, {b.Ref, compiler}} {
+		tr, err := b.Trace(c.bin, w.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() { Simulate(Input{Trace: tr, Policy: c.pol}) }
+		run() // warm the pools
+		const budget = 0.001
+		perEvent := testing.AllocsPerRun(3, run) / float64(tr.Events())
+		t.Logf("policy %s: %d events, %.5f allocs/event", c.pol.Name, tr.Events(), perEvent)
+		if perEvent > budget {
+			t.Errorf("policy %s: simulating %d events allocates %.4f objects/event, budget %.3f — the per-event path allocates (see docs/perf.md)",
+				c.pol.Name, tr.Events(), perEvent, budget)
+		}
+		tr.Release()
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // trackLoad records an exposed load for violation detection.
 func (m *machine) trackLoad(run *epochRun, ev *trace.Event) {
-	if m.runs == nil {
-		return // sequential segment: no speculation
+	if !m.regionSeen {
+		return // sequential segment before any region: no speculation
 	}
 	if ir.IsStackAddr(ev.Addr) {
 		return // per-CPU stacks are private to an epoch
@@ -38,7 +38,7 @@ func (m *machine) trackLoad(run *epochRun, ev *trace.Event) {
 		// loses confidence in changed ones; only prediction USE is banned.
 		run.trainings = append(run.trainings, pcVal{pc: in.Origin, v: ev.Val})
 		if !run.predictBan {
-			if v, ok := m.pred.predict(in.Origin, m.epochIdxOf(run)); ok {
+			if v, ok := m.pred.predict(in.Origin, run.epoch.Index); ok {
 				if v != ev.Val {
 					run.mispredicted = true
 					run.mispredictPCs = append(run.mispredictPCs, in.Origin)
@@ -58,13 +58,13 @@ func (m *machine) trackLoad(run *epochRun, ev *trace.Event) {
 // (the invalidation arrives while the line's speculatively-loaded bit is
 // set).
 func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
-	if m.runs == nil {
-		return // sequential segment: no speculation
+	if !m.regionSeen {
+		return // sequential segment before any region: no speculation
 	}
 	if ir.IsStackAddr(ev.Addr) {
 		return
 	}
-	e := m.epochIdxOf(run)
+	e := run.epoch.Index
 	line := m.cfg.Line(ev.Addr)
 	run.storeWords[ev.Addr] = true
 	if _, ok := run.storeLines[line]; !ok {
@@ -75,7 +75,7 @@ func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
 	// producer notices and restarts the consumer (§2.2).
 	if _, hit := run.sigBuf[ev.Addr]; hit {
 		delete(run.sigBuf, ev.Addr)
-		if cons := m.runs[e+1]; cons != nil {
+		if cons := m.runAt(e + 1); cons != nil {
 			m.res.Violations++
 			m.res.ViolByKind["sigbuf"]++
 			m.restart(cons)
@@ -99,13 +99,13 @@ func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
 // Signaling
 
 func (m *machine) signal(run *epochRun, ev *trace.Event, scalar bool) {
-	if m.mail == nil {
+	if !m.regionSeen {
 		// Sequential segment (a region preheader signaling initial
 		// values): epoch 0 is the oldest at region start, so its waits
 		// complete immediately — nothing to deliver.
 		return
 	}
-	e := m.epochIdxOf(run)
+	e := run.epoch.Index
 	ch := m.code[ev.SI].Imm
 	key := mailKey{consumer: e + 1, ch: ch, scalar: scalar}
 	m.mail[key] = mailEntry{ready: m.cycle + int64(m.cfg.CommLat), gen: run.gen}
@@ -121,14 +121,14 @@ func (m *machine) signal(run *epochRun, ev *trace.Event, scalar bool) {
 }
 
 func (m *machine) signalNull(run *epochRun, ev *trace.Event) {
-	if m.mail == nil {
+	if !m.regionSeen {
 		return
 	}
 	ch := m.code[ev.SI].Imm
 	if run.signaled[ch] {
 		return // conditional NULL: a signal was already sent this epoch
 	}
-	e := m.epochIdxOf(run)
+	e := run.epoch.Index
 	key := mailKey{consumer: e + 1, ch: ch, scalar: false}
 	m.mail[key] = mailEntry{ready: m.cycle + int64(m.cfg.CommLat), gen: run.gen, null: true}
 	run.signaled[ch] = true
@@ -165,7 +165,7 @@ func (m *machine) violate(victim *epochRun, kind string, loadPC int) {
 // squashed run's forwarded values.
 func (m *machine) restart(victim *epochRun) {
 	m.res.Restarts++
-	e := m.epochIdxOf(victim)
+	e := victim.epoch.Index
 	oldGen := victim.gen
 
 	if m.curRegion != nil {
@@ -186,7 +186,7 @@ func (m *machine) restart(victim *epochRun) {
 		putFrameSB(popped)
 	}
 	base := victim.frames[0]
-	clear(base.ready)
+	base.reset()
 	base.base, base.callDst = m.cycle, ir.None
 	clear(victim.loadLines)
 	clear(victim.storeLines)
@@ -208,7 +208,7 @@ func (m *machine) restart(victim *epochRun) {
 
 	// Cascade: a consumer that consumed this run's (now squashed) signals
 	// used values that the hardware can no longer vouch for.
-	if cons := m.runs[e+1]; cons != nil && cons.consumedGen == oldGen {
+	if cons := m.runAt(e + 1); cons != nil && cons.consumedGen == oldGen {
 		m.restart(cons)
 	}
 }
@@ -275,8 +275,7 @@ func (m *machine) tryCommit() {
 			run.span.Commit = m.cycle
 			m.res.Spans = append(m.res.Spans, *run.span)
 		}
-		m.committedGen[m.oldest] = run.gen
-		delete(m.runs, m.oldest)
+		m.runs[m.oldest] = nil
 		m.cpuFree[run.cpu] = m.cycle // commit overhead already elapsed
 		m.table.epochCommitted()
 		m.oldest++

@@ -7,6 +7,8 @@ package sim
 // mechanisms.
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -291,6 +293,107 @@ func TestSeqSegmentsBetweenRegions(t *testing.T) {
 	}
 	if r.TotalCycles < r.SeqCycles+r.RegionCycles() {
 		t.Errorf("total %d < seq %d + region %d", r.TotalCycles, r.SeqCycles, r.RegionCycles())
+	}
+}
+
+// seqRegionSeqTrace interleaves sequential segments with region
+// instances. The sequential segments issue use-forwarded-value loads on
+// a synchronized channel, predictable loads, and a signal followed by a
+// store to the signaled address. The last region has a single epoch, so
+// the segment after it reaches past the end of the epoch table.
+func seqRegionSeqTrace() *trace.ProgramTrace {
+	p := newSynthProg()
+	const ch = 0
+	const addrX, addrY = 0x20000, 0x28000
+	wait := p.NewInstr(ir.WaitMemAddr)
+	wait.Dst, wait.Imm = 1, ch
+	ldSync := p.NewInstr(ir.LoadSync)
+	ldSync.Dst, ldSync.A, ldSync.Imm = 2, 1, ch
+	sig := p.NewInstr(ir.SignalMem)
+	sig.A, sig.B, sig.Imm = 3, 2, ch
+	ldY := p.NewInstr(ir.Load)
+	ldY.Dst, ldY.A = 4, 0
+	stY := p.NewInstr(ir.Store)
+	stY.A, stY.B = 0, 4
+	stX := p.NewInstr(ir.Store)
+	stX.A, stX.B = 3, 4
+
+	seq := func(n int) []trace.Event {
+		var evs []trace.Event
+		for k := 0; k < n; k++ {
+			evs = append(evs, evFor(ldSync, addrX, 0, trace.FlagUFF), evFor(ldY, addrY, int64(k)))
+			evs = append(evs, filler(p, 3)...)
+		}
+		return append(evs, evFor(sig, addrX, 1), evFor(stX, addrX, 2))
+	}
+	region := func(id, n int) *trace.RegionInstance {
+		ri := &trace.RegionInstance{RegionID: id}
+		for i := 0; i < n; i++ {
+			evs := []trace.Event{evFor(ldY, addrY, int64(i)), evFor(wait, addrX, 0), evFor(ldSync, addrX, 0)}
+			evs = append(evs, filler(p, 12)...)
+			evs = append(evs, evFor(stY, addrY, int64(i+1)), evFor(sig, addrX, int64(i)))
+			ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: evs})
+		}
+		return ri
+	}
+	tr := &trace.ProgramTrace{Segments: []trace.Segment{
+		{Seq: seq(20)},
+		{Region: region(0, 20)},
+		{Seq: seq(10)},
+		{Region: region(1, 20)},
+		{Seq: seq(4)},
+		{Region: region(2, 1)},
+		{Seq: seq(4)},
+	}}
+	tr.Code = p.code()
+	return tr
+}
+
+// resultSummary renders every scalar of a Result that policies can move.
+func resultSummary(r *Result) string {
+	ids := make([]int, 0, len(r.Regions))
+	for id := range r.Regions {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var b strings.Builder
+	fmt.Fprintf(&b, "total=%d seq=%d viol=%d restarts=%d kinds=%v buckets=%v waits=%d/%d/%d sigbuf=%d",
+		r.TotalCycles, r.SeqCycles, r.Violations, r.Restarts, r.ViolByKind, r.ViolBuckets,
+		r.ScalarWaitCycles, r.MemWaitCycles, r.HWSyncCycles, r.SigBufPeak)
+	for _, id := range ids {
+		rs := r.Regions[id]
+		fmt.Fprintf(&b, " r%d{%d %d %+v}", id, rs.Cycles, rs.Epochs, rs.Slots)
+	}
+	return b.String()
+}
+
+// TestSeqSegmentGuardsAcrossRegions pins how sequential segments interact
+// with speculation state. A sequential segment before the first region
+// skips dependence tracking and signaling. One after a region does not:
+// its forwarded-value loads count toward FilterSync's usefulness and its
+// loads consult the violation-history table. Tracking every sequential
+// segment, or none, moves CF's memory-wait cycles; the last segment
+// follows a one-epoch region, so its signal-buffer hit looks up the
+// consumer one past the end of the run table.
+func TestSeqSegmentGuardsAcrossRegions(t *testing.T) {
+	tr := seqRegionSeqTrace()
+	want := map[string]string{
+		"C":  "total=711 seq=105 viol=112 restarts=112 kinds=map[eager:102 stale:10] buckets=[3 0 109 0] waits=0/528/0 sigbuf=1 r0{309 20 {Busy:340 Fail:3456 Sync:0 Other:1148}} r1{285 20 {Busy:340 Fail:3112 Sync:0 Other:1108}} r2{12 1 {Busy:17 Fail:0 Sync:0 Other:175}}",
+		"CF": "total=711 seq=105 viol=112 restarts=112 kinds=map[eager:102 stale:10] buckets=[3 0 109 0] waits=0/462/0 sigbuf=1 r0{309 20 {Busy:340 Fail:3456 Sync:0 Other:1148}} r1{285 20 {Busy:340 Fail:3112 Sync:0 Other:1108}} r2{12 1 {Busy:17 Fail:0 Sync:0 Other:175}}",
+		"P":  "total=711 seq=105 viol=112 restarts=112 kinds=map[eager:102 stale:10] buckets=[3 0 109 0] waits=0/528/0 sigbuf=1 r0{309 20 {Busy:340 Fail:3456 Sync:0 Other:1148}} r1{285 20 {Busy:340 Fail:3112 Sync:0 Other:1108}} r2{12 1 {Busy:17 Fail:0 Sync:0 Other:175}}",
+		"S":  "total=756 seq=105 viol=82 restarts=82 kinds=map[eager:70 mispredict:4 stale:8] buckets=[3 0 75 0] waits=0/982/0 sigbuf=1 r0{283 20 {Busy:340 Fail:1408 Sync:1667 Other:1113}} r1{356 20 {Busy:340 Fail:4280 Sync:0 Other:1076}} r2{12 1 {Busy:17 Fail:0 Sync:0 Other:175}}",
+	}
+	policies := []Policy{
+		PolicyC("C"),
+		{Name: "CF", FilterSync: true},
+		PolicyP(),
+		{Name: "S", StridePredict: true},
+	}
+	for _, pol := range policies {
+		got := resultSummary(Simulate(Input{Trace: tr, Policy: pol}))
+		if got != want[pol.Name] {
+			t.Errorf("policy %s:\n got %s\nwant %s", pol.Name, got, want[pol.Name])
+		}
 	}
 }
 
